@@ -4,8 +4,10 @@ GO ?= go
 
 all: vet build test
 
+# vet also fails on any file gofmt would change (gofmt -l lists them).
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -63,11 +65,12 @@ test-alloc:
 	$(GO) test -run 'ZeroAlloc' -v .
 
 # test-shard runs the sharded-execution equivalence suite under -race: the
-# conservative coordinator's barrier modes, the cross-shard wire/credit
-# path, and the byte-equality of shards=1 vs sharded runs at every layer
-# (topology completion times, full experiment tables). -race matters here:
-# the channel-barrier mode is the only concurrent code in the simulator
-# core, and these tests drive it with real cross-shard traffic.
+# conservative coordinator's epoch loop on the calling goroutine and on the
+# shard workers (and the density gate between them), the cross-shard
+# wire/credit path, and the byte-equality of shards=1 vs sharded runs at
+# every layer (topology completion times, full experiment tables). -race
+# matters here: the shard workers are the only concurrent code in the
+# simulator core, and these tests drive them with real cross-shard traffic.
 test-shard:
 	$(GO) test -race -run 'Shard|CrossWire|CrossGate|FatTree3|RunBefore' \
 		./internal/sim/ ./internal/link/ ./internal/topology/ ./internal/experiments/

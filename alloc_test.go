@@ -19,16 +19,19 @@ import (
 )
 
 // measureSteadyState warms c up to the given simulated time, then reports
-// the average allocations of advancing the simulation by step.
+// the average allocations of advancing the simulation by step. It drives
+// the fabric through Cluster.RunUntil, so a sharded build steps through
+// its coordinator (c.Eng is then shard 0's engine, whose count stands in
+// for the fabric's).
 func measureSteadyState(t *testing.T, c *topology.Cluster, warm units.Time, step units.Duration) float64 {
 	t.Helper()
-	c.Eng.RunUntil(warm)
+	c.RunUntil(warm)
 	if c.Eng.Processed() == 0 {
 		t.Fatal("warmup executed no events")
 	}
 	before := c.Eng.Processed()
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Eng.RunFor(step)
+		c.RunUntil(c.Eng.Now().Add(step))
 	})
 	if c.Eng.Processed() == before {
 		t.Fatal("steady-state window executed no events")
@@ -101,5 +104,31 @@ func TestZeroAllocFatTreeIncast(t *testing.T) {
 	}
 	if allocs := measureSteadyState(t, c, units.Time(2*units.Millisecond), 20*units.Microsecond); allocs != 0 {
 		t.Fatalf("fat-tree incast: %.2f allocs per steady-state step, want 0", allocs)
+	}
+}
+
+// TestZeroAllocShardedFatTree pins the sharded path at zero steady-state
+// allocations: a four-pod three-tier fabric on four shards, every host
+// outside the last pod sending to that pod's last host, so all traffic
+// crosses shards through the coordinator's epoch loop, the mailboxes and
+// sent lists, and the split cross-shard credit loop. The coordinator runs
+// the epochs on the calling goroutine; starting the shard workers
+// allocates once per RunUntil.
+func TestZeroAllocShardedFatTree(t *testing.T) {
+	spec := topology.FatTreeSpec{Tiers: 3, Pods: 4, Leaves: 2, HostsPerLeaf: 2, Spines: 2}
+	c, err := topology.FatTree3(model.HWTestbed(), spec, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := spec.NumHosts() - 1
+	for n := 0; n < 3*spec.Leaves*spec.HostsPerLeaf; n++ {
+		bsg, err := traffic.NewBSG(c.NIC(n), c.NIC(dst), traffic.BSGConfig{Payload: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bsg.Start(0)
+	}
+	if allocs := measureSteadyState(t, c, units.Time(2*units.Millisecond), 20*units.Microsecond); allocs != 0 {
+		t.Fatalf("sharded fat-tree incast: %.2f allocs per steady-state step, want 0", allocs)
 	}
 }

@@ -90,9 +90,9 @@ func (o Options) start() units.Time { return units.Time(0).Add(o.Warmup) }
 type Result struct {
 	LSG     stats.Summary
 	LSGHist *stats.Histogram `json:"-"`
-	BSGGbps []float64 // per-BSG goodput, source order
-	Pretend float64   // pretend-LSG goodput (Gb/s), if enabled
-	Total   float64   // total bulk goodput including the pretend flow
+	BSGGbps []float64        // per-BSG goodput, source order
+	Pretend float64          // pretend-LSG goodput (Gb/s), if enabled
+	Total   float64          // total bulk goodput including the pretend flow
 	// RPerf measurements in nanoseconds (rperf group).
 	RPerfMedNs, RPerfTailNs float64
 	// Baseline-tool measurements in microseconds (perftest/qperf groups).
@@ -225,10 +225,11 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 		return Result{}, err
 	}
 	if c.Coord != nil {
-		// The channel-based barrier only pays for itself with real cores
-		// behind it; results are identical either way, so on one core (or
-		// when the caller pinned the run sequential) use the round-based
-		// loop. opts.Parallel == 1 is the sweep runner's sequential pin.
+		// Permit the shard workers only with real cores behind them and
+		// when the caller did not pin the run sequential (opts.Parallel ==
+		// 1 is the sweep runner's sequential pin). A permitted run keeps
+		// the workers only while its epochs are dense enough to pay for
+		// the handoff (sim.Coordinator); results are identical either way.
 		c.Coord.Parallel = shards > 1 && opts.Parallel != 1 && runtime.GOMAXPROCS(0) > 1
 	}
 	c.SetPolicy(pol)

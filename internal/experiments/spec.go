@@ -707,7 +707,7 @@ type Metrics struct {
 	// Delivered the destination-metered goodput; the sojourn quantiles
 	// cover arrival→completion (backlog wait included); BacklogMax is the
 	// deepest per-source backlog, averaged across seeds (so fractional).
-	OfferedGbps, DeliveredGbps               float64
+	OfferedGbps, DeliveredGbps                float64
 	SojournP50Us, SojournP99Us, SojournP999Us float64
 	BacklogMax                                float64
 }

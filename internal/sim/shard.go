@@ -24,13 +24,14 @@
 //
 // Together these make a run a pure function of (configuration, seed): the
 // same objects execute the same events at the same timestamps whether they
-// are grouped onto 1, 2 or N shards, and whether the barrier is the
-// round-based sequential loop or the channel-based parallel one. The
-// equivalence tests in internal/experiments lock this end to end.
+// are grouped onto 1, 2 or N shards, and whether an epoch runs on the
+// calling goroutine or on the shard workers. The equivalence tests in
+// internal/experiments lock this end to end.
 package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"sync"
 
@@ -61,6 +62,15 @@ type Shard struct {
 
 	pending []Msg // exchanged messages, sorted by (At, ch, seq) when !dirty
 	dirty   bool  // pending grew since it was last sorted
+	// sent lists this shard's outgoing channels holding messages, in the
+	// order their buffers filled. Only the shard's own epoch appends to it
+	// and only the coordinator drains it, after the join.
+	sent  []*Chan
+	fault *ShardPanic // a handler panic contained during the last epoch
+	// A worker writes its shard's sent list all through a dense epoch;
+	// the pad keeps those writes off the cache lines of the neighbouring
+	// Shard, which another worker reads on every Send.
+	_ [64]byte
 }
 
 // Chan is one direction of one cross-shard coupling: a packet path or a
@@ -91,25 +101,75 @@ func (ch *Chan) Send(at units.Time, label string, h Handler) *Msg {
 	if h == nil {
 		panic(fmt.Sprintf("sim: nil handler for cross-shard %q", label))
 	}
+	if len(ch.box) == 0 {
+		ch.src.sent = append(ch.src.sent, ch)
+	}
 	ch.box = append(ch.box, Msg{At: at, Label: label, H: h, ch: ch.id, seq: ch.seq})
 	ch.seq++
 	return &ch.box[len(ch.box)-1]
 }
 
+// The density gate. Handing an epoch to the shard workers costs a fixed
+// handoff (a channel send and a join per shard) that only pays for itself
+// when the epoch carries enough events to split across cores. A run
+// permitted to use the workers therefore re-decides after every gateWindow
+// epochs: the next window runs on the workers only if the last one
+// executed at least gateDensity events per epoch, summed over shards. Both
+// counts are simulated quantities, so the path a run takes depends only on
+// its configuration and seed — and its result on neither.
+//
+// On a 2-CPU x86 box, four shards of synthetic events costing about 100
+// and 190 ns each broke even on the workers at about 380 and 190 events
+// per epoch; the registered sharded fabrics sit far to either side (a
+// 512-host open-loop sweep about 5 events per epoch, the 512/1024-host
+// incast about 8.5, the 512-host all-to-all about 1100).
+const (
+	gateWindow  = 256
+	gateDensity = 256
+)
+
 // Coordinator synchronizes shards over a fixed epoch grid.
 type Coordinator struct {
 	shards    []*Shard
-	chans     []*Chan
+	nchans    int32
 	lookahead units.Duration
-	// Parallel selects the channel-based barrier: one persistent goroutine
-	// per shard, fed an epoch at a time and joined before the exchange.
-	// False (the default) is the round-based reference loop — the only
-	// sensible mode on one core. Results are identical either way; the
-	// race detector over the parallel mode is part of `make test-shard`.
+	// Parallel permits the shard workers: one persistent goroutine per
+	// shard, fed an epoch at a time and joined before the exchange. A
+	// permitted run starts on the workers and keeps them only while epochs
+	// are dense (see gateWindow); otherwise, and always when false (the
+	// default), shards run each epoch in ID order on the calling
+	// goroutine. Results are identical either way; the race detector over
+	// the workers is part of `make test-shard`.
 	Parallel bool
+
+	// window and density are the gate's parameters (gateWindow and
+	// gateDensity; tests shrink them). epochs counts the epochs run and
+	// workerEpochs those the workers ran.
+	window, density      uint64
+	epochs, workerEpochs uint64
 
 	interrupt func() bool
 	aborted   bool
+}
+
+// ShardPanic is the value RunUntil panics with when an event handler
+// panicked during an epoch: the handler's own value and the stack it
+// panicked on. The shard contains the panic on whichever goroutine ran
+// the epoch, and the coordinator re-raises it on RunUntil's caller once
+// every shard has finished the epoch, so a recover around RunUntil sees
+// the same value whether or not workers ran the epoch. Where several
+// shards panicked in one epoch, the lowest shard ID wins.
+type ShardPanic struct {
+	Shard int    // ID of the shard whose handler panicked
+	Value any    // the handler's panic value
+	Stack []byte // the panicking goroutine's stack, from debug.Stack
+}
+
+// Error names the shard and carries the handler's value and stack, so a
+// caller that formats the recovered value, or a process that dies of it,
+// still shows where the handler panicked.
+func (p *ShardPanic) Error() string {
+	return fmt.Sprintf("sim: shard %d: %v\n%s", p.Shard, p.Value, p.Stack)
 }
 
 // SetInterrupt installs an external abort check on the coordinator and on
@@ -117,8 +177,8 @@ type Coordinator struct {
 // single long epoch aborts promptly); the coordinator additionally checks
 // it at each barrier and abandons the run. An aborted cluster is mid-epoch
 // and possibly out of step across shards — the caller must discard it, the
-// same contract as Engine.SetInterrupt. In the parallel barrier mode every
-// worker goroutine is joined before RunUntil returns, aborted or not.
+// same contract as Engine.SetInterrupt. Every worker goroutine is joined
+// before RunUntil returns, aborted or not.
 func (c *Coordinator) SetInterrupt(f func() bool) {
 	c.interrupt = f
 	c.aborted = false
@@ -156,7 +216,7 @@ func NewCoordinator(n int, lookahead units.Duration) (*Coordinator, error) {
 	if lookahead <= 0 {
 		return nil, fmt.Errorf("sim: conservative sharding needs positive lookahead, got %v", lookahead)
 	}
-	c := &Coordinator{lookahead: lookahead}
+	c := &Coordinator{lookahead: lookahead, window: gateWindow, density: gateDensity}
 	for i := 0; i < n; i++ {
 		c.shards = append(c.shards, &Shard{ID: i, Eng: New()})
 	}
@@ -181,15 +241,19 @@ func (c *Coordinator) Channel(src, dst int, minLag units.Duration) (*Chan, error
 	if minLag < c.lookahead {
 		return nil, fmt.Errorf("sim: channel latency %v below the coordinator lookahead %v", minLag, c.lookahead)
 	}
-	ch := &Chan{id: int32(len(c.chans)), src: c.shards[src], dst: c.shards[dst], minLag: minLag}
-	c.chans = append(c.chans, ch)
+	ch := &Chan{id: c.nchans, src: c.shards[src], dst: c.shards[dst], minLag: minLag}
+	c.nchans++
 	return ch, nil
 }
 
 // RunUntil advances every shard to absolute time end: epochs of one
 // lookahead each, a barrier and message exchange between epochs, and a
 // final partial epoch that executes events at exactly end (matching
-// Engine.RunUntil's inclusive deadline).
+// Engine.RunUntil's inclusive deadline). The one fork is where an epoch
+// executes: on the shard workers while Parallel permits them and the
+// density gate keeps them, else in ID order on the calling goroutine. A
+// handler panic is re-raised here as a *ShardPanic after the epoch's
+// join; the cluster is then mid-epoch and must be discarded.
 func (c *Coordinator) RunUntil(end units.Time) {
 	start := c.shards[0].Eng.Now()
 	for _, s := range c.shards {
@@ -197,11 +261,55 @@ func (c *Coordinator) RunUntil(end units.Time) {
 			panic("sim: coordinator shards out of step")
 		}
 	}
+	var w *workers
 	if c.Parallel && len(c.shards) > 1 {
-		c.runChannelBarrier(start, end)
-		return
+		w = c.startWorkers()
+		defer w.stop()
 	}
-	c.runRounds(start, end)
+	onWorkers := w != nil
+	mark, n := c.processed(), uint64(0)
+	for t := start; ; {
+		horizon, final := c.nextHorizon(t, end)
+		c.epochs++
+		if onWorkers {
+			c.workerEpochs++
+			w.run(horizon, final)
+		} else {
+			for _, s := range c.shards {
+				s.runEpoch(horizon, final)
+			}
+		}
+		for _, s := range c.shards {
+			if s.fault != nil {
+				panic(s.fault)
+			}
+		}
+		if c.interrupted() {
+			return
+		}
+		c.exchange()
+		if final {
+			return
+		}
+		t = horizon
+		if w == nil {
+			continue
+		}
+		if n++; n == c.window {
+			ran := c.processed()
+			onWorkers = ran-mark >= c.window*c.density
+			mark, n = ran, 0
+		}
+	}
+}
+
+// processed sums the events every shard has executed.
+func (c *Coordinator) processed() uint64 {
+	var n uint64
+	for _, s := range c.shards {
+		n += s.Eng.Processed()
+	}
+	return n
 }
 
 // nextHorizon computes the end of the epoch opening at t; final epochs run
@@ -214,79 +322,77 @@ func (c *Coordinator) nextHorizon(t, end units.Time) (horizon units.Time, final 
 	return h, false
 }
 
-// runRounds is the sequential reference loop: shards run each epoch in ID
-// order on the calling goroutine.
-func (c *Coordinator) runRounds(start, end units.Time) {
-	for t := start; ; {
-		horizon, final := c.nextHorizon(t, end)
-		for _, s := range c.shards {
-			s.runEpoch(horizon, final)
-		}
-		if c.interrupted() {
-			return
-		}
-		c.exchange()
-		if final {
-			return
-		}
-		t = horizon
-	}
-}
-
 // epochCmd is one barrier round handed to a shard worker.
 type epochCmd struct {
 	horizon units.Time
 	final   bool
 }
 
-// runChannelBarrier runs epochs with one persistent worker goroutine per
-// shard. The coordinator alone touches mailboxes and channel buffers, and
-// only between barriers; command send and WaitGroup join order every
-// coordinator access strictly before/after the workers' epoch, so the
-// parallel mode is race-free by construction (and `go test -race` checks
-// the construction).
-func (c *Coordinator) runChannelBarrier(start, end units.Time) {
-	n := len(c.shards)
-	cmds := make([]chan epochCmd, n)
-	var wg sync.WaitGroup
+// workers are the per-shard goroutines of one permitted RunUntil. The
+// coordinator alone touches mailboxes and sent lists, and only between
+// epochs; the command send and the join order every coordinator access
+// strictly before or after a worker's epoch, so running on the workers is
+// race-free by construction (and `go test -race` checks the construction).
+// Between dense windows the workers wait on their command channels while
+// the coordinator runs the shards itself, under the same ordering.
+type workers struct {
+	cmds []chan epochCmd
+	join sync.WaitGroup // one Done per shard per epoch
+	exit sync.WaitGroup // one Done per worker when it returns
+}
+
+// startWorkers starts one worker per shard; stop ends them.
+func (c *Coordinator) startWorkers() *workers {
+	w := &workers{cmds: make([]chan epochCmd, len(c.shards))}
+	w.exit.Add(len(c.shards))
 	for i, s := range c.shards {
-		cmds[i] = make(chan epochCmd)
+		w.cmds[i] = make(chan epochCmd)
 		go func(s *Shard, in <-chan epochCmd) {
+			defer w.exit.Done()
 			for ep := range in {
 				s.runEpoch(ep.horizon, ep.final)
-				wg.Done()
+				w.join.Done()
 			}
-		}(s, cmds[i])
+		}(s, w.cmds[i])
 	}
-	for t := start; ; {
-		horizon, final := c.nextHorizon(t, end)
-		wg.Add(n)
-		for _, ch := range cmds {
-			ch <- epochCmd{horizon, final}
-		}
-		wg.Wait()
-		if c.interrupted() {
-			break
-		}
-		c.exchange()
-		if final {
-			break
-		}
-		t = horizon
+	return w
+}
+
+// run executes one epoch on every worker and waits for all of them.
+func (w *workers) run(horizon units.Time, final bool) {
+	w.join.Add(len(w.cmds))
+	for _, in := range w.cmds {
+		in <- epochCmd{horizon, final}
 	}
-	for _, ch := range cmds {
-		close(ch)
+	w.join.Wait()
+}
+
+// stop closes every command channel and waits until each worker returned.
+func (w *workers) stop() {
+	for _, in := range w.cmds {
+		close(in)
 	}
+	w.exit.Wait()
 }
 
 // runEpoch inserts the messages due in the epoch and executes it: events
-// strictly before the horizon, or inclusively for the final epoch.
+// strictly before the horizon, or inclusively for the final epoch. A
+// panicking handler is contained in s.fault, so the epoch always returns
+// to the join.
 func (s *Shard) runEpoch(horizon units.Time, final bool) {
+	defer s.contain()
 	s.deliverDue(horizon, final)
 	if final {
 		s.Eng.RunUntil(horizon)
 	} else {
 		s.Eng.RunBefore(horizon)
+	}
+}
+
+// contain records a panic raised during the shard's epoch.
+func (s *Shard) contain() {
+	if r := recover(); r != nil {
+		s.fault = &ShardPanic{Shard: s.ID, Value: r, Stack: debug.Stack()}
 	}
 }
 
@@ -321,19 +427,21 @@ func (s *Shard) deliverDue(horizon units.Time, inclusive bool) {
 	}
 }
 
-// exchange moves every channel's sends into its destination mailbox. The
-// mailbox is resorted lazily on the next delivery; (At, ch, seq) is a total
-// order, so the append order across channels is irrelevant.
+// exchange moves the sends of every channel on a shard's sent list into
+// the channel's destination mailbox; no other channel holds messages, so
+// the barrier costs per message, not per channel. The mailbox is resorted
+// lazily on the next delivery; (At, ch, seq) is a total order, so the
+// order in which channels are drained is irrelevant.
 func (c *Coordinator) exchange() {
-	for _, ch := range c.chans {
-		if len(ch.box) == 0 {
-			continue
+	for _, s := range c.shards {
+		for _, ch := range s.sent {
+			d := ch.dst
+			d.pending = append(d.pending, ch.box...)
+			d.dirty = true
+			clear(ch.box) // drop payload references
+			ch.box = ch.box[:0]
 		}
-		d := ch.dst
-		d.pending = append(d.pending, ch.box...)
-		d.dirty = true
-		clear(ch.box) // drop payload references
-		ch.box = ch.box[:0]
+		s.sent = s.sent[:0]
 	}
 }
 
