@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race cover bench bench-queue bench-sweep bench-json bench-compare test-alloc test-shard test-debugpackets test-faults test-serve test-workload golden smoke-examples smoke-specs smoke-serve ci
+.PHONY: all vet build test race cover bench bench-queue bench-sweep bench-json bench-compare test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench golden smoke-examples smoke-specs smoke-serve ci
 
 all: vet build test
 
@@ -80,6 +80,13 @@ test-shard:
 test-debugpackets:
 	$(GO) test -tags debugpackets ./...
 
+# test-perfbench vets and tests the benchmark harness. perfbench is its own
+# module that imports repro/internal/..., so the root `go build ./...` never
+# compiles it; this is what catches an internal API change that breaks it.
+test-perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # test-faults runs the fault-injection and transport-reliability suite:
 # the fault goldens, the shards 1/2/4 x barrier-mode byte-equivalence of
 # fault schedules, and the exactly-once delivery property under heavy
@@ -129,8 +136,9 @@ smoke-serve:
 	diff "$$dir/cli.jsonl" "$$dir/memo.jsonl"; \
 	echo "smoke-serve: cold and memo streams byte-identical to ibsim run"
 
-# golden regenerates the determinism golden files (fig7a star sweep,
-# fat-tree incast sweep, and the sharded bigfabric sweeps) after an
+# golden regenerates every golden file under internal/experiments/testdata
+# (the fig7a, incast, bigfabric, slicing, fault and loadlatency sweeps, and
+# registry.golden: all registered tables over three seeds) after an
 # intentional model change.
 golden:
 	$(GO) test ./internal/experiments/ -run 'GoldenFile' -update
@@ -158,4 +166,7 @@ smoke-specs:
 		$(GO) run ./cmd/ibsim run -spec "$$f" -measure 3ms -warmup 1ms -seeds 1 >/dev/null; \
 	done
 
-ci: vet build test race cover test-alloc test-shard test-faults test-serve test-workload test-debugpackets smoke-examples smoke-serve
+# ci runs each test once per mode: plain, -race, debugpackets. The focused
+# -race targets above (test-shard, test-faults, test-serve, test-workload)
+# are subsets of race and stay out of ci; they are local shortcuts.
+ci: vet build test race cover test-alloc test-debugpackets test-perfbench smoke-examples smoke-serve

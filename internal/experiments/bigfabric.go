@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/model"
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -63,9 +61,6 @@ func registerBigFabric() {
 			},
 			Collect: []string{"lsg_p50_us", "lsg_p999_us", "bulk_total_gbps", "lsg_samples"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			return []string{f2(pr.M.LSGMedianUs), f2(pr.M.LSGTailUs), f2(pr.M.TotalGbps), fmt.Sprint(pr.M.LSGSamples)}
-		}),
 	})
 
 	// bigfabric-alltoall drives one cross-leaf shift round over all 512
@@ -88,15 +83,6 @@ func registerBigFabric() {
 			Sweep:   []Axis{{Field: AxisTopology, Topologies: fatTreeSpecs(BigFabricSpecs[:1])}},
 			Collect: []string{"bulk_total_gbps", "fairness"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			ft := pr.Point.Topology.FatTree
-			flows := ft.NumHosts()
-			return []string{
-				fmt.Sprint(flows),
-				f2(pr.M.TotalGbps),
-				f2(pr.M.TotalGbps / float64(ft.NumHosts())),
-				f2(pr.M.Fairness),
-			}
-		}),
+		Reduce: allToAllReduce,
 	})
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,15 +45,13 @@ func TestBigFabricGoldenFiles(t *testing.T) {
 
 // shardEquivSpec is the small three-tier fabric of the shard-equivalence
 // tests: 4 pods of 2x2+1s, 16 hosts, so shards 1, 2 and 4 are all valid and
-// the full suite stays fast enough for -race in CI (make test-shard).
+// the full suite stays fast enough for -race in CI (make race).
 var shardEquivSpec = topology.FatTreeSpec{Tiers: 3, Pods: 4, Leaves: 2, HostsPerLeaf: 2, Spines: 1}
 
 // shardEquivDefinition builds a runnable definition around one workload at a
-// given shard count: the id, collect list and reduce are held constant
-// across shard counts so the rendered tables can be compared byte for byte.
-// A nil reduce falls back to the generic long format, which is what the
-// open-loop workload uses (its metrics have no closed-loop columns).
-func shardEquivDefinition(id string, w Workload, shards int, collect []string, reduce ReduceFunc) Definition {
+// given shard count: the id and collect list are held constant across shard
+// counts so the rendered tables can be compared byte for byte.
+func shardEquivDefinition(id string, w Workload, shards int, collect []string) Definition {
 	return Definition{
 		ID:      id,
 		Title:   "Shard equivalence: " + id,
@@ -67,19 +64,12 @@ func shardEquivDefinition(id string, w Workload, shards int, collect []string, r
 			},
 			Collect: collect,
 		},
-		Reduce: reduce,
 	}
 }
 
-// closedCollect and closedReduce are the original closed-loop table shape
-// shared by the incast and all-to-all equivalence cases.
+// closedCollect is the closed-loop table shape shared by the incast and
+// all-to-all equivalence cases.
 var closedCollect = []string{"lsg_p50_us", "lsg_p999_us", "bulk_total_gbps", "lsg_samples"}
-
-func closedReduce() ReduceFunc {
-	return rowReduce(func(_ int, pr PointResult) []string {
-		return []string{f2(pr.M.LSGMedianUs), f2(pr.M.LSGTailUs), f2(pr.M.TotalGbps), fmt.Sprint(pr.M.LSGSamples)}
-	})
-}
 
 // TestShardEquivalenceTables is the acceptance criterion of the sharded
 // runner: for an incast and an all-to-all on a three-tier fabric, shards 1,
@@ -91,20 +81,19 @@ func TestShardEquivalenceTables(t *testing.T) {
 	cases := map[string]struct {
 		w       Workload
 		collect []string
-		reduce  ReduceFunc
 	}{
 		"incast": {
 			w: Workload{
 				{Kind: GroupBSG, Count: 8, Payload: 4096},
 				{Kind: GroupLSG},
 			},
-			collect: closedCollect, reduce: closedReduce(),
+			collect: closedCollect,
 		},
 		"alltoall": {
 			w: Workload{
 				{Kind: GroupAllToAll, Count: 2, Payload: 4096},
 			},
-			collect: closedCollect, reduce: closedReduce(),
+			collect: closedCollect,
 		},
 		// The open-loop point of the satellite property test: the Poisson
 		// schedule is a pure function of (seed, group), so the rendered
@@ -124,7 +113,7 @@ func TestShardEquivalenceTables(t *testing.T) {
 		w := tc.w
 		t.Run(name, func(t *testing.T) {
 			render := func(shards int) string {
-				tbl, err := RunSpec(shardEquivDefinition("shard-equiv-"+name, w, shards, tc.collect, tc.reduce), goldenOpts(1))
+				tbl, err := RunSpec(shardEquivDefinition("shard-equiv-"+name, w, shards, tc.collect), goldenOpts(1))
 				if err != nil {
 					t.Fatal(err)
 				}

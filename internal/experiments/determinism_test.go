@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -52,9 +51,6 @@ func goldenDefinition() Definition {
 			Sweep:   []Axis{{Field: AxisBSGs, Counts: intRange(0, 3)}},
 			Collect: []string{"lsg_p50_us", "lsg_p999_us", "bulk_total_gbps", "lsg_samples"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			return []string{f2(pr.M.LSGMedianUs), f2(pr.M.LSGTailUs), f2(pr.M.TotalGbps), fmt.Sprint(pr.M.LSGSamples)}
-		}),
 	}
 }
 

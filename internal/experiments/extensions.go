@@ -50,8 +50,8 @@ func registerExtensions() {
 				return fmt.Errorf("experiments: ext-spf expects %d points, got %d", len(hopNames)*len(policies), len(pts))
 			}
 			for i, pr := range pts {
-				t.AddRow(hopNames[i/len(policies)], pr.Labels[1],
-					f2(pr.M.LSGMedianUs), f2(pr.M.LSGTailUs), f2(pr.M.TotalGbps))
+				t.AddRow(append([]string{hopNames[i/len(policies)], pr.Labels[1]},
+					pr.M.cells("lsg_p50_us", "lsg_p999_us", "bulk_total_gbps")...)...)
 			}
 			return nil
 		},
@@ -92,12 +92,9 @@ func registerExtensions() {
 			}}},
 			Collect: []string{"lsg_p50_us", "lsg_p999_us", "pretend_gbps", "bulk_total_gbps"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			var honest float64
-			for _, g := range pr.M.BSGGbps {
-				honest += g
-			}
-			return []string{f2(pr.M.LSGMedianUs), f2(pr.M.LSGTailUs), f2(pr.M.PretendGbps), f2(honest)}
+		Reduce: rowReduce(func(pr PointResult) []string {
+			honest := sum(pr.M.slotMeans(bsgSlots))
+			return append(pr.M.cells("lsg_p50_us", "lsg_p999_us", "pretend_gbps"), f2(honest))
 		}),
 	})
 }

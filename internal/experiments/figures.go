@@ -10,10 +10,12 @@ import (
 )
 
 // The paper's figures as registry entries. Each is a declarative Spec (the
-// grid that runs) plus a small ReduceFunc (the exact row layout of the
-// published table). The reduce functions receive point results in grid
-// order, so parallel sweeps assemble byte-identical tables — the goldens
-// under testdata/ lock this.
+// grid that runs) and its published column names; most render through the
+// generic layout (axis labels, then the Collect metrics). A ReduceFunc
+// remains only where a table derives cells from the metrics or unrolls an
+// axis into columns. Reduce functions receive point results in grid order,
+// so parallel sweeps assemble byte-identical tables — the goldens under
+// testdata/ lock this.
 
 // ptr is a literal-friendly int pointer for Group.Src/Dst overrides.
 func ptr(i int) *int { return &i }
@@ -29,19 +31,19 @@ func intRange(lo, hi int) []int {
 
 // rowReduce renders one row per point: every axis label, then the cells
 // returned for the point.
-func rowReduce(cells func(i int, pr PointResult) []string) ReduceFunc {
+func rowReduce(cells func(pr PointResult) []string) ReduceFunc {
 	return func(t *Table, pts []PointResult) error {
-		for i, pr := range pts {
-			t.AddRow(append(append([]string(nil), pr.Labels...), cells(i, pr)...)...)
+		for _, pr := range pts {
+			t.AddRow(append(append([]string(nil), pr.Labels...), cells(pr)...)...)
 		}
 		return nil
 	}
 }
 
 // wideReduce renders one row per outer-axis value, unrolling the innermost
-// axis (length inner) into repeated cell groups — the classic "one column
-// pair per policy/topology" layout.
-func wideReduce(inner int, cells func(pr PointResult) []string) ReduceFunc {
+// axis (length inner) into repeated groups of the named metrics — the
+// classic "one column pair per policy/topology" layout.
+func wideReduce(inner int, metrics ...string) ReduceFunc {
 	return func(t *Table, pts []PointResult) error {
 		if inner <= 0 || len(pts)%inner != 0 {
 			return fmt.Errorf("experiments: wide layout needs a multiple of %d points, got %d (was the sweep edited? drop the registered id for the generic layout)", inner, len(pts))
@@ -49,7 +51,7 @@ func wideReduce(inner int, cells func(pr PointResult) []string) ReduceFunc {
 		for base := 0; base < len(pts); base += inner {
 			row := []string{pts[base].Labels[0]}
 			for i := 0; i < inner; i++ {
-				row = append(row, cells(pts[base+i])...)
+				row = append(row, pts[base+i].M.cells(metrics...)...)
 			}
 			t.AddRow(row...)
 		}
@@ -79,9 +81,7 @@ func registerFigures() {
 			},
 			Collect: []string{"rperf_p50_ns", "rperf_p999_ns"},
 		},
-		Reduce: wideReduce(2, func(pr PointResult) []string {
-			return []string{f1(pr.M.RPerfMedNs), f1(pr.M.RPerfTailNs)}
-		}),
+		Reduce: wideReduce(2, "rperf_p50_ns", "rperf_p999_ns"),
 	})
 
 	// Figure 5: one-to-one BSG bandwidth vs payload, with and without the
@@ -98,9 +98,7 @@ func registerFigures() {
 			},
 			Collect: []string{"bulk_total_gbps"},
 		},
-		Reduce: wideReduce(2, func(pr PointResult) []string {
-			return []string{f2(pr.M.TotalGbps)}
-		}),
+		Reduce: wideReduce(2, "bulk_total_gbps"),
 	})
 
 	// Figure 6: end-to-end RTT reported by Perftest (median + tail) and
@@ -117,9 +115,6 @@ func registerFigures() {
 			},
 			Collect: []string{"perftest_p50_us", "perftest_p999_us", "qperf_mean_us"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			return []string{f2(pr.M.PerftestP50Us), f2(pr.M.PerftestP999Us), f2(pr.M.QperfMeanUs)}
-		}),
 	})
 
 	// Figure 7a: LSG RTT vs the number of 4096 B BSGs on the hardware
@@ -133,9 +128,6 @@ func registerFigures() {
 			Sweep:   []Axis{{Field: AxisBSGs, Counts: intRange(0, 5)}},
 			Collect: []string{"lsg_p50_us", "lsg_p999_us"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			return []string{f2(pr.M.LSGMedianUs), f2(pr.M.LSGTailUs)}
-		}),
 	})
 
 	// Figure 7b: total BSG bandwidth vs the number of BSGs.
@@ -148,10 +140,6 @@ func registerFigures() {
 			Sweep:   []Axis{{Field: AxisBSGs, Counts: intRange(1, 5)}},
 			Collect: []string{"bulk_total_gbps", "bulk_min_gbps", "bulk_max_gbps"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			mn, mx := minMax(pr.M.BSGGbps)
-			return []string{f2(pr.M.TotalGbps), f2(mn), f2(mx)}
-		}),
 	})
 
 	// Figure 8: LSG RTT as five BSGs sweep their payload size.
@@ -164,9 +152,6 @@ func registerFigures() {
 			Sweep:   []Axis{{Field: AxisPayload, Payloads: PayloadSweep}},
 			Collect: []string{"lsg_p50_us", "lsg_p999_us"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			return []string{f2(pr.M.LSGMedianUs), f2(pr.M.LSGTailUs)}
-		}),
 	})
 
 	// Figure 9: total BSG bandwidth across the same sweep.
@@ -179,8 +164,9 @@ func registerFigures() {
 			Sweep:   []Axis{{Field: AxisPayload, Payloads: PayloadSweep}},
 			Collect: []string{"bulk_total_gbps"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			return []string{f2(pr.M.TotalGbps), f1(pr.M.TotalGbps / 56 * 100)}
+		Reduce: rowReduce(func(pr PointResult) []string {
+			total := pr.M.value("bulk_total_gbps")
+			return []string{f2(total), f1(total / 56 * 100)}
 		}),
 	})
 
@@ -199,13 +185,13 @@ func registerFigures() {
 			Sweep:   []Axis{{Field: AxisBSGs, Counts: intRange(1, 5)}},
 			Collect: []string{"lsg_p50_us"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
+		Reduce: rowReduce(func(pr PointResult) []string {
 			fab := model.OMNeTSim()
 			n, _ := strconv.Atoi(pr.Labels[0])
 			eq2 := analytic.Eq2Wait(n, fab.Switch.VLWindow, fab.Link.Bandwidth)
 			cfg := analytic.ConvergedConfig{Fabric: fab, NumBSGs: n, BSGPayload: 4096}
 			pred := cfg.PredictLSGWait()
-			sim := pr.M.LSGMedianUs - 0.43
+			sim := pr.M.value("lsg_p50_us") - 0.43
 			if sim < 0 {
 				sim = 0
 			}
@@ -227,9 +213,7 @@ func registerFigures() {
 			},
 			Collect: []string{"lsg_p50_us", "lsg_p999_us"},
 		},
-		Reduce: wideReduce(2, func(pr PointResult) []string {
-			return []string{f2(pr.M.LSGMedianUs), f2(pr.M.LSGTailUs)}
-		}),
+		Reduce: wideReduce(2, "lsg_p50_us", "lsg_p999_us"),
 	})
 
 	// Figure 11: the multi-hop topology (two switches) under FCFS and RR.
@@ -249,9 +233,6 @@ func registerFigures() {
 			Sweep:   []Axis{{Field: AxisPolicy, Policies: []string{"fcfs", "rr"}}},
 			Collect: []string{"lsg_p50_us", "lsg_p999_us"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			return []string{f2(pr.M.LSGMedianUs), f2(pr.M.LSGTailUs)}
-		}),
 	})
 
 	// Figure 12: the real LSG's RTT under the four QoS setups of §VIII-C.
@@ -263,9 +244,6 @@ func registerFigures() {
 			Sweep:   []Axis{{Field: AxisVariant, Variants: fig12Setups()}},
 			Collect: []string{"lsg_p50_us", "lsg_p999_us"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			return []string{f2(pr.M.LSGMedianUs), f2(pr.M.LSGTailUs)}
-		}),
 	})
 
 	// Figure 13: per-BSG bandwidth under the gamed dedicated-SL setup
@@ -284,15 +262,15 @@ func registerFigures() {
 			}}},
 			Collect: []string{"pretend_gbps", "bulk_total_gbps"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
+		Reduce: rowReduce(func(pr PointResult) []string {
 			var cells []string
-			for _, g := range pr.M.BSGGbps {
+			for _, g := range pr.M.slotMeans(bsgSlots) {
 				cells = append(cells, f2(g))
 			}
 			if hasGroup(pr.Point, GroupPretend) {
-				cells = append(cells, f2(pr.M.PretendGbps))
+				cells = append(cells, pr.M.cell("pretend_gbps"))
 			}
-			return append(cells, f2(pr.M.TotalGbps))
+			return append(cells, pr.M.cell("bulk_total_gbps"))
 		}),
 	})
 }

@@ -78,9 +78,6 @@ func registerFatTreeSuite() {
 			},
 			Collect: []string{"lsg_p50_us", "lsg_p999_us", "bulk_total_gbps", "lsg_samples"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			return []string{f2(pr.M.LSGMedianUs), f2(pr.M.LSGTailUs), f2(pr.M.TotalGbps), fmt.Sprint(pr.M.LSGSamples)}
-		}),
 	})
 
 	// alltoall sweeps an M-to-N all-to-all (every host both sends and
@@ -103,16 +100,7 @@ func registerFatTreeSuite() {
 			Sweep:   []Axis{{Field: AxisTopology, Topologies: fatTreeSpecs(AllToAllFabrics)}},
 			Collect: []string{"bulk_total_gbps", "fairness"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			ft := pr.Point.Topology.FatTree
-			flows := ft.NumHosts() * (ft.Leaves - 1)
-			return []string{
-				fmt.Sprint(flows),
-				f2(pr.M.TotalGbps),
-				f2(pr.M.TotalGbps / float64(ft.NumHosts())),
-				f2(pr.M.Fairness),
-			}
-		}),
+		Reduce: allToAllReduce,
 	})
 
 	// crossspine contrasts a latency probe that shares the incast drain
@@ -154,8 +142,33 @@ func registerFatTreeSuite() {
 			},
 			Collect: []string{"lsg_p50_us", "lsg_p999_us", "bulk_total_gbps"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			return []string{f2(pr.M.LSGMedianUs), f2(pr.M.LSGTailUs), f2(pr.M.TotalGbps)}
-		}),
 	})
 }
+
+// allToAllRounds is an alltoall group's shift-round count: Count, or one
+// round per other leaf when Count is 0.
+func allToAllRounds(g Group, ft *topology.FatTreeSpec) int {
+	if g.Count > 0 {
+		return g.Count
+	}
+	return ft.TotalLeaves() - 1
+}
+
+// allToAllReduce renders an all-to-all point: its flow count (one per host
+// and shift round), total and per-host goodput, and destination fairness.
+var allToAllReduce = rowReduce(func(pr PointResult) []string {
+	ft := pr.Point.Topology.FatTree
+	flows := 0
+	for _, g := range pr.Point.Workload {
+		if g.Kind == GroupAllToAll {
+			flows += ft.NumHosts() * allToAllRounds(g, ft)
+		}
+	}
+	total := pr.M.value("bulk_total_gbps")
+	return []string{
+		fmt.Sprint(flows),
+		f2(total),
+		f2(total / float64(ft.NumHosts())),
+		pr.M.cell("fairness"),
+	}
+})

@@ -90,7 +90,7 @@ func TestLoadLatencyKnee(t *testing.T) {
 		if _, seen := curves[v]; !seen {
 			variants = append(variants, v)
 		}
-		curves[v] = append(curves[v], ReduceSeeds(results).SojournP99Us)
+		curves[v] = append(curves[v], ReduceSeeds(results).value("sojourn_p99_us"))
 	}
 	loads := d.Spec.Sweep[1].Loads
 	for _, v := range variants {

@@ -6,8 +6,9 @@ import (
 )
 
 // The experiment registry: every figure of the paper's evaluation and
-// every extension experiment is a Definition — a declarative Spec plus a
-// small row-assembly function — registered at init time. The registry is
+// every extension experiment is a Definition — a declarative Spec, its
+// column names and, where the table derives cells, a small row-assembly
+// function — registered at init time. The registry is
 // what `ibsim list` prints, what ByID/RunID resolve, and what the
 // spec-serialization tests iterate to prove every compiled-in experiment
 // is expressible as plain data.

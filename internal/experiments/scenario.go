@@ -3,7 +3,7 @@
 // layer is declarative: a serializable Spec (spec.go) describes a sweep, a
 // generic engine (sweep.go) executes it over the parallel runner
 // (runner.go), and the paper's figures are registry entries (registry.go,
-// figures.go) — a Spec plus a small row-assembly function each.
+// figures.go) — a Spec and its column names each.
 package experiments
 
 import (
@@ -99,7 +99,6 @@ type Result struct {
 	PerftestP50Us, PerftestP999Us, QperfMeanUs float64
 	// Fairness is min/max per-destination goodput (alltoall group).
 	Fairness float64
-	Duration units.Duration
 	// Tenant slices, indexed like Point.Tenants (populated only when the
 	// point declares tenants). Gbps is the tenant's delivered bulk goodput,
 	// Conf its conformance ratio delivered/promised, P99/P999 the tail
@@ -478,10 +477,7 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 				return Result{}, fmt.Errorf("experiments: alltoall group requires a fattree topology")
 			}
 			h := spec.NumHosts()
-			shifts := g.Count
-			if shifts == 0 {
-				shifts = spec.TotalLeaves() - 1
-			}
+			shifts := allToAllRounds(g, spec)
 			// Under tenancy, the every-host-sends pattern must not send
 			// from a host carrying another tenant's latency probe: the
 			// probe's QP would share a send engine with a 256-deep paced
@@ -586,7 +582,7 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 	// Collect in workload order; every reduction downstream preserves it.
 	// Isolation runs collect only the isolated tenant's groups — the rest
 	// never started, so their meters and histograms are empty.
-	res := Result{Duration: opts.Measure}
+	var res Result
 	if n := len(p.Tenants); n > 0 {
 		res.TenantGbps = make([]float64, n)
 		res.TenantConf = make([]float64, n)

@@ -153,13 +153,7 @@ func registerSliceSuite() {
 			},
 			Collect: []string{"slice_gbps", "slice_conf_max", "slice_if_p99_pct"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			return []string{
-				f2(idx(pr.M.TenantGbps, 0)), f2(idx(pr.M.TenantConf, 0)),
-				f2(idx(pr.M.TenantP99Us, 1)), f2(idx(pr.M.TenantIsoP99Us, 1)),
-				f1(worstInterferencePct(pr.M.TenantP99Us, pr.M.TenantIsoP99Us)),
-			}
-		}),
+		Reduce: rowReduce(func(pr PointResult) []string { return sliceCells(pr.M) }),
 	})
 
 	// slicemix replaces the incast with an all-to-all by the bulk tenant —
@@ -186,15 +180,21 @@ func registerSliceSuite() {
 			Sweep:   []Axis{{Field: AxisVariant, Variants: mixVariants}},
 			Collect: []string{"slice_gbps", "slice_conf_max", "slice_if_p99_pct"},
 		},
-		Reduce: rowReduce(func(_ int, pr PointResult) []string {
-			return []string{
-				f2(idx(pr.M.TenantGbps, 0)), f2(idx(pr.M.TenantConf, 0)),
-				f2(idx(pr.M.TenantP99Us, 1)), f2(idx(pr.M.TenantIsoP99Us, 1)),
-				f1(worstInterferencePct(pr.M.TenantP99Us, pr.M.TenantIsoP99Us)),
-				f2(pr.M.Fairness),
-			}
+		Reduce: rowReduce(func(pr PointResult) []string {
+			return append(sliceCells(pr.M), pr.M.cell("fairness"))
 		}),
 	})
+}
+
+// sliceCells renders the two-tenant conformance cells: the bulk tenant's
+// (slot 0) goodput and conformance, the latency tenant's (slot 1) contended
+// and isolated p99, and the worst p99 inflation.
+func sliceCells(m Metrics) []string {
+	return []string{
+		f2(idx(m.slotMeans(tenantGbpsSlots), 0)), f2(idx(m.slotMeans(tenantConfSlots), 0)),
+		f2(idx(m.slotMeans(tenantP99Slots), 1)), f2(idx(m.slotMeans(tenantIsoP99Slots), 1)),
+		m.cell("slice_if_p99_pct"),
+	}
 }
 
 // idx is a bounds-tolerant index for reducers: registered layouts assume

@@ -10,7 +10,6 @@ import (
 	"repro/internal/ib"
 	"repro/internal/ibswitch"
 	"repro/internal/model"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -21,8 +20,8 @@ import (
 // a list of Sweep axes whose cross product enumerates the grid, and a
 // Collect block naming the reduced metrics. One generic engine (sweep.go)
 // executes any Spec; the per-figure registry entries (figures.go,
-// incast.go, extensions.go) are Specs plus a small row-assembly function,
-// and user-authored JSON specs run through the same engine via
+// incast.go, extensions.go) are Specs plus a table layout, and
+// user-authored JSON specs run through the same engine via
 // `ibsim run -spec` without recompiling.
 //
 // Everything in a Spec is plain data: JSON round-trips are a fixed point
@@ -661,102 +660,143 @@ func (s Spec) MarshalIndent() ([]byte, error) {
 
 // --- Metrics ---------------------------------------------------------------
 
-// Metrics are the seed-averaged scalar measurements of one sweep point.
-// Fields are means over the per-seed Results in seed order (float64
-// summation is order-sensitive; keeping the order fixed is part of the
-// determinism contract), except LSGSamples which is the total sample count.
-type Metrics struct {
-	LSGMedianUs, LSGTailUs float64
-	LSGSamples             uint64
-	// BSGGbps is the per-BSG goodput in source order, averaged per slot.
-	BSGGbps     []float64
-	PretendGbps float64
-	// TotalGbps is the total delivered bulk goodput (BSGs + pretend, or
-	// the all-to-all aggregate).
-	TotalGbps                                  float64
-	RPerfMedNs, RPerfTailNs                    float64
-	PerftestP50Us, PerftestP999Us, QperfMeanUs float64
-	// Fairness is the all-to-all min/max per-destination goodput ratio.
-	Fairness float64
-	// Tenant conformance, indexed by tenant declaration order and averaged
-	// per slot; empty without tenants. TenantIso* hold the same-seed
-	// isolation baseline (only the tenant under measurement running) and
-	// stay 0 for tenants without a latency group or single-tenant points.
-	TenantGbps      []float64 // delivered bulk goodput per tenant
-	TenantConf      []float64 // delivered / promised rate, per seed then averaged
-	TenantP99Us     []float64 // latency group p99 (lsg or rperf), contended run
-	TenantP999Us    []float64
-	TenantIsoP99Us  []float64 // same-seed isolation baseline
-	TenantIsoP999Us []float64
-	// Fault-injection family (all 0 on fault-free points). Counters are
-	// per-seed totals averaged across seeds, so they may be fractional.
-	FaultSent   float64 // packets offered to fault-instrumented links
-	FaultDrops  float64 // packets dropped by the loss schedule
-	Retransmits float64 // RC retransmission attempts
-	RNRBackoffs float64 // ack timeouts deferred because the send queue was busy
-	QPErrors    float64 // QPs failed after exhausting retries
-	FailedOver  float64 // packets re-routed around a downed egress
-	// RecoveryUs is the time from the first fault onset to the last
-	// successful retransmission recovery (0 when nothing needed recovery).
-	RecoveryUs float64
-	// FaultP99InflationPct is the latency probe's p99 inflation over the
-	// same-seed fault-free twin, in percent (measure_inflation only).
-	FaultP99InflationPct float64
-	// Open-loop family (all 0 without open-loop groups). Offered is the
-	// scheduled arrival payload rate inside the measurement window;
-	// Delivered the destination-metered goodput; the sojourn quantiles
-	// cover arrival→completion (backlog wait included); BacklogMax is the
-	// deepest per-source backlog, averaged across seeds (so fractional).
-	OfferedGbps, DeliveredGbps                float64
-	SojournP50Us, SojournP99Us, SojournP999Us float64
-	BacklogMax                                float64
+// Metrics are one sweep point's per-seed Results, in seed order. Cells read
+// them by metric name through metricTable, whose reduce rules visit the
+// seeds in this order: float64 summation is order-sensitive, and keeping
+// the order fixed is part of the determinism contract.
+type Metrics []Result
+
+// metric is one collectable measurement: how a point's seed results reduce
+// to a number, and how that number prints.
+type metric struct {
+	reduce func(Metrics) float64
+	format func(float64) string
 }
 
-// metricTable maps Collect names to extraction + formatting. The format
-// conventions follow the paper's tables: two decimals for microseconds and
-// Gb/s, one for nanoseconds.
-var metricTable = map[string]func(Metrics) string{
-	"lsg_p50_us":       func(m Metrics) string { return f2(m.LSGMedianUs) },
-	"lsg_p999_us":      func(m Metrics) string { return f2(m.LSGTailUs) },
-	"lsg_samples":      func(m Metrics) string { return fmt.Sprint(m.LSGSamples) },
-	"bulk_total_gbps":  func(m Metrics) string { return f2(m.TotalGbps) },
-	"bulk_min_gbps":    func(m Metrics) string { mn, _ := minMax(m.BSGGbps); return f2(mn) },
-	"bulk_max_gbps":    func(m Metrics) string { _, mx := minMax(m.BSGGbps); return f2(mx) },
-	"pretend_gbps":     func(m Metrics) string { return f2(m.PretendGbps) },
-	"rperf_p50_ns":     func(m Metrics) string { return f1(m.RPerfMedNs) },
-	"rperf_p999_ns":    func(m Metrics) string { return f1(m.RPerfTailNs) },
-	"perftest_p50_us":  func(m Metrics) string { return f2(m.PerftestP50Us) },
-	"perftest_p999_us": func(m Metrics) string { return f2(m.PerftestP999Us) },
-	"qperf_mean_us":    func(m Metrics) string { return f2(m.QperfMeanUs) },
-	"fairness":         func(m Metrics) string { return f2(m.Fairness) },
+// metricTable maps each Collect name to its one entry. Adding a metric
+// takes a Result field and a row here. The formats follow the paper's
+// tables: two decimals for microseconds and Gb/s, one for nanoseconds.
+var metricTable = map[string]metric{
+	"lsg_p50_us":       {seedMean(func(r Result) float64 { return r.LSG.Median.Microseconds() }), f2},
+	"lsg_p999_us":      {seedMean(func(r Result) float64 { return r.LSG.P999.Microseconds() }), f2},
+	"lsg_samples":      {seedTotal(func(r Result) float64 { return float64(r.LSG.Count) }), f0},
+	"bulk_total_gbps":  {seedMean(func(r Result) float64 { return r.Total }), f2},
+	"bulk_min_gbps":    {slotwise(bsgSlots, minOf), f2},
+	"bulk_max_gbps":    {slotwise(bsgSlots, maxOf), f2},
+	"pretend_gbps":     {seedMean(func(r Result) float64 { return r.Pretend }), f2},
+	"rperf_p50_ns":     {seedMean(func(r Result) float64 { return r.RPerfMedNs }), f1},
+	"rperf_p999_ns":    {seedMean(func(r Result) float64 { return r.RPerfTailNs }), f1},
+	"perftest_p50_us":  {seedMean(func(r Result) float64 { return r.PerftestP50Us }), f2},
+	"perftest_p999_us": {seedMean(func(r Result) float64 { return r.PerftestP999Us }), f2},
+	"qperf_mean_us":    {seedMean(func(r Result) float64 { return r.QperfMeanUs }), f2},
+	"fairness":         {seedMean(func(r Result) float64 { return r.Fairness }), f2},
 	// Tenant-slicing conformance family (all 0 without tenants).
-	"slice_gbps":     func(m Metrics) string { return f2(sum(m.TenantGbps)) },
-	"slice_conf_min": func(m Metrics) string { mn, _ := minMax(m.TenantConf); return f2(mn) },
-	"slice_conf_max": func(m Metrics) string { _, mx := minMax(m.TenantConf); return f2(mx) },
-	"slice_if_p99_pct": func(m Metrics) string {
-		return f1(worstInterferencePct(m.TenantP99Us, m.TenantIsoP99Us))
-	},
-	"slice_if_p999_pct": func(m Metrics) string {
-		return f1(worstInterferencePct(m.TenantP999Us, m.TenantIsoP999Us))
-	},
+	"slice_gbps":        {slotwise(tenantGbpsSlots, sum), f2},
+	"slice_conf_min":    {slotwise(tenantConfSlots, minOf), f2},
+	"slice_conf_max":    {slotwise(tenantConfSlots, maxOf), f2},
+	"slice_if_p99_pct":  {interference(tenantP99Slots, tenantIsoP99Slots), f1},
+	"slice_if_p999_pct": {interference(func(r Result) []float64 { return r.TenantP999Us }, func(r Result) []float64 { return r.TenantIsoP999Us }), f1},
 	// Fault-injection family (all 0 on fault-free points). Counters print
 	// with one decimal: they are per-seed totals averaged across seeds.
-	"fault_sent_total":        func(m Metrics) string { return f1(m.FaultSent) },
-	"drops_total":             func(m Metrics) string { return f1(m.FaultDrops) },
-	"retx_total":              func(m Metrics) string { return f1(m.Retransmits) },
-	"rnr_total":               func(m Metrics) string { return f1(m.RNRBackoffs) },
-	"qp_errors":               func(m Metrics) string { return f1(m.QPErrors) },
-	"failover_total":          func(m Metrics) string { return f1(m.FailedOver) },
-	"recovery_us":             func(m Metrics) string { return f2(m.RecoveryUs) },
-	"fault_p99_inflation_pct": func(m Metrics) string { return f1(m.FaultP99InflationPct) },
+	"fault_sent_total":        {seedMean(func(r Result) float64 { return float64(r.FaultSent) }), f1},
+	"drops_total":             {seedMean(func(r Result) float64 { return float64(r.FaultDrops) }), f1},
+	"retx_total":              {seedMean(func(r Result) float64 { return float64(r.Retransmits) }), f1},
+	"rnr_total":               {seedMean(func(r Result) float64 { return float64(r.RNRBackoffs) }), f1},
+	"qp_errors":               {seedMean(func(r Result) float64 { return float64(r.QPErrors) }), f1},
+	"failover_total":          {seedMean(func(r Result) float64 { return float64(r.FailedOver) }), f1},
+	"recovery_us":             {seedMean(func(r Result) float64 { return r.RecoveryUs }), f2},
+	"fault_p99_inflation_pct": {seedMean(func(r Result) float64 { return r.FaultP99InflationPct }), f1},
 	// Open-loop family (all 0 without open-loop groups). backlog_max prints
 	// with one decimal: it is a per-seed maximum averaged across seeds.
-	"offered_gbps":    func(m Metrics) string { return f2(m.OfferedGbps) },
-	"delivered_gbps":  func(m Metrics) string { return f2(m.DeliveredGbps) },
-	"sojourn_p50_us":  func(m Metrics) string { return f2(m.SojournP50Us) },
-	"sojourn_p99_us":  func(m Metrics) string { return f2(m.SojournP99Us) },
-	"sojourn_p999_us": func(m Metrics) string { return f2(m.SojournP999Us) },
-	"backlog_max":     func(m Metrics) string { return f1(m.BacklogMax) },
+	"offered_gbps":    {seedMean(func(r Result) float64 { return r.OfferedGbps }), f2},
+	"delivered_gbps":  {seedMean(func(r Result) float64 { return r.DeliveredGbps }), f2},
+	"sojourn_p50_us":  {seedMean(func(r Result) float64 { return r.SojournP50Us }), f2},
+	"sojourn_p99_us":  {seedMean(func(r Result) float64 { return r.SojournP99Us }), f2},
+	"sojourn_p999_us": {seedMean(func(r Result) float64 { return r.SojournP999Us }), f2},
+	"backlog_max":     {seedMean(func(r Result) float64 { return float64(r.BacklogMax) }), f1},
+}
+
+// The reduce rules. A scalar metric is a seed mean (or, for sample counts,
+// a total); a slot metric (one value per BSG or per tenant) is reduced per
+// slot first, then combined across slots.
+
+// seedMean is the mean of a per-seed value over the seeds.
+func seedMean(f func(Result) float64) func(Metrics) float64 {
+	return func(m Metrics) float64 {
+		if len(m) == 0 {
+			return 0
+		}
+		return m.total(f) / float64(len(m))
+	}
+}
+
+// seedTotal is the sum of a per-seed value over the seeds.
+func seedTotal(f func(Result) float64) func(Metrics) float64 {
+	return func(m Metrics) float64 { return m.total(f) }
+}
+
+// slotwise combines the per-slot seed means of a slot vector.
+func slotwise(slots func(Result) []float64, combine func([]float64) float64) func(Metrics) float64 {
+	return func(m Metrics) float64 { return combine(m.slotMeans(slots)) }
+}
+
+// interference is the worst per-tenant latency inflation of the per-slot
+// seed means over their same-seed isolation baselines.
+func interference(full, iso func(Result) []float64) func(Metrics) float64 {
+	return func(m Metrics) float64 { return worstInterferencePct(m.slotMeans(full), m.slotMeans(iso)) }
+}
+
+// Slot vectors: per BSG in source order, per tenant in declaration order.
+// Every seed of a point runs the same configuration, so slot i is the same
+// BSG or tenant in every seed.
+func bsgSlots(r Result) []float64          { return r.BSGGbps }
+func tenantGbpsSlots(r Result) []float64   { return r.TenantGbps }
+func tenantConfSlots(r Result) []float64   { return r.TenantConf }
+func tenantP99Slots(r Result) []float64    { return r.TenantP99Us }
+func tenantIsoP99Slots(r Result) []float64 { return r.TenantIsoP99Us }
+
+// total sums a per-seed value in seed order.
+func (m Metrics) total(f func(Result) float64) float64 {
+	var t float64
+	for _, r := range m {
+		t += f(r)
+	}
+	return t
+}
+
+// slotMeans averages a slot vector slot by slot, each slot over the seeds
+// that report it, in seed order.
+func (m Metrics) slotMeans(slots func(Result) []float64) []float64 {
+	var means []float64
+	for i := 0; ; i++ {
+		var t float64
+		n := 0
+		for _, r := range m {
+			if v := slots(r); i < len(v) {
+				t += v[i]
+				n++
+			}
+		}
+		if n == 0 {
+			return means
+		}
+		means = append(means, t/float64(n))
+	}
+}
+
+// value reduces one metric by its table rule.
+func (m Metrics) value(name string) float64 { return metricTable[name].reduce(m) }
+
+// cell formats one metric by its table entry.
+func (m Metrics) cell(name string) string { return metricTable[name].format(m.value(name)) }
+
+// cells formats the named metrics, in order.
+func (m Metrics) cells(names ...string) []string {
+	out := make([]string, len(names))
+	for i, name := range names {
+		out[i] = m.cell(name)
+	}
+	return out
 }
 
 func sum(xs []float64) float64 {
@@ -766,6 +806,9 @@ func sum(xs []float64) float64 {
 	}
 	return s
 }
+
+func minOf(xs []float64) float64 { mn, _ := minMax(xs); return mn }
+func maxOf(xs []float64) float64 { _, mx := minMax(xs); return mx }
 
 // worstInterferencePct is the largest relative latency inflation any tenant
 // suffers against its isolation baseline, in percent (0 when no baseline
@@ -795,100 +838,18 @@ func MetricNames() []string {
 
 // FormatMetric renders one collected metric.
 func FormatMetric(name string, m Metrics) (string, error) {
-	f, ok := metricTable[name]
-	if !ok {
+	if _, ok := metricTable[name]; !ok {
 		return "", fmt.Errorf("spec: metric %q unknown (valid: %s)", name, strings.Join(MetricNames(), ", "))
 	}
-	return f(m), nil
+	return m.cell(name), nil
 }
 
-// ReduceSeeds averages per-seed results in seed order (sums the sample
-// count). It is the only place seed results are combined — the sweep
-// engine and the serve package both call it — so parallel sweeps and
-// checkpoint-restored sweeps reproduce the sequential output bit for bit.
-func ReduceSeeds(results []Result) Metrics {
-	var m Metrics
-	var meds, tails, pretends, totals []float64
-	var rmeds, rtails, pp50, pp999, qmean, fair []float64
-	var fsent, fdrops, retx, rnr, qperr, fover, recov, infl []float64
-	var offered, delivered, sj50, sj99, sj999, backmax []float64
-	var perBSG [][]float64
-	// Per-tenant arrays accumulate slot-wise like perBSG: every seed of a
-	// point declares the same tenants, so slot i is tenant i throughout.
-	var perTenant [6][][]float64
-	slot := func(dst *[][]float64, vals []float64) {
-		for i, v := range vals {
-			if i == len(*dst) {
-				*dst = append(*dst, nil)
-			}
-			(*dst)[i] = append((*dst)[i], v)
-		}
-	}
-	for _, r := range results {
-		meds = append(meds, r.LSG.Median.Microseconds())
-		tails = append(tails, r.LSG.P999.Microseconds())
-		m.LSGSamples += r.LSG.Count
-		slot(&perBSG, r.BSGGbps)
-		pretends = append(pretends, r.Pretend)
-		totals = append(totals, r.Total)
-		rmeds = append(rmeds, r.RPerfMedNs)
-		rtails = append(rtails, r.RPerfTailNs)
-		pp50 = append(pp50, r.PerftestP50Us)
-		pp999 = append(pp999, r.PerftestP999Us)
-		qmean = append(qmean, r.QperfMeanUs)
-		fair = append(fair, r.Fairness)
-		fsent = append(fsent, float64(r.FaultSent))
-		fdrops = append(fdrops, float64(r.FaultDrops))
-		retx = append(retx, float64(r.Retransmits))
-		rnr = append(rnr, float64(r.RNRBackoffs))
-		qperr = append(qperr, float64(r.QPErrors))
-		fover = append(fover, float64(r.FailedOver))
-		recov = append(recov, r.RecoveryUs)
-		infl = append(infl, r.FaultP99InflationPct)
-		offered = append(offered, r.OfferedGbps)
-		delivered = append(delivered, r.DeliveredGbps)
-		sj50 = append(sj50, r.SojournP50Us)
-		sj99 = append(sj99, r.SojournP99Us)
-		sj999 = append(sj999, r.SojournP999Us)
-		backmax = append(backmax, float64(r.BacklogMax))
-		for j, vals := range [6][]float64{r.TenantGbps, r.TenantConf, r.TenantP99Us, r.TenantP999Us, r.TenantIsoP99Us, r.TenantIsoP999Us} {
-			slot(&perTenant[j], vals)
-		}
-	}
-	m.LSGMedianUs = stats.Mean(meds)
-	m.LSGTailUs = stats.Mean(tails)
-	m.PretendGbps = stats.Mean(pretends)
-	m.TotalGbps = stats.Mean(totals)
-	for _, vals := range perBSG {
-		m.BSGGbps = append(m.BSGGbps, stats.Mean(vals))
-	}
-	m.RPerfMedNs = stats.Mean(rmeds)
-	m.RPerfTailNs = stats.Mean(rtails)
-	m.PerftestP50Us = stats.Mean(pp50)
-	m.PerftestP999Us = stats.Mean(pp999)
-	m.QperfMeanUs = stats.Mean(qmean)
-	m.Fairness = stats.Mean(fair)
-	m.FaultSent = stats.Mean(fsent)
-	m.FaultDrops = stats.Mean(fdrops)
-	m.Retransmits = stats.Mean(retx)
-	m.RNRBackoffs = stats.Mean(rnr)
-	m.QPErrors = stats.Mean(qperr)
-	m.FailedOver = stats.Mean(fover)
-	m.RecoveryUs = stats.Mean(recov)
-	m.FaultP99InflationPct = stats.Mean(infl)
-	m.OfferedGbps = stats.Mean(offered)
-	m.DeliveredGbps = stats.Mean(delivered)
-	m.SojournP50Us = stats.Mean(sj50)
-	m.SojournP99Us = stats.Mean(sj99)
-	m.SojournP999Us = stats.Mean(sj999)
-	m.BacklogMax = stats.Mean(backmax)
-	for j, dst := range [6]*[]float64{&m.TenantGbps, &m.TenantConf, &m.TenantP99Us, &m.TenantP999Us, &m.TenantIsoP99Us, &m.TenantIsoP999Us} {
-		for _, vals := range perTenant[j] {
-			*dst = append(*dst, stats.Mean(vals))
-		}
-	}
-	return m
-}
+// ReduceSeeds gathers one point's per-seed results, in seed order, as its
+// Metrics. The sweep engine and the serve package both build points through
+// it, and every metric reduces from this one ordering, so parallel sweeps
+// and checkpoint-restored sweeps reproduce the sequential output bit for
+// bit.
+func ReduceSeeds(results []Result) Metrics { return Metrics(results) }
 
 // payloadLabel formats a payload axis value the way the paper's tables do
 // (64B, 4KB).

@@ -18,8 +18,8 @@ import (
 // order (see runner.go and DESIGN.md).
 
 // PointResult is one sweep point's outcome: the resolved point, its
-// formatted axis labels (one per sweep axis, in axis order), and the
-// seed-averaged metrics.
+// formatted axis labels (one per sweep axis, in axis order), and its
+// per-seed results, read by metric name.
 type PointResult struct {
 	Point  Point
 	Labels []string

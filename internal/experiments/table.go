@@ -36,5 +36,6 @@ func (t *Table) WriteCSV(w io.Writer) error { return t.Emit(NewCSVSink(w)) }
 // object per row).
 func (t *Table) WriteJSONL(w io.Writer) error { return t.Emit(NewJSONLSink(w)) }
 
+func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

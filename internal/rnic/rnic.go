@@ -259,6 +259,34 @@ func (r *RNIC) Attach(w *link.Wire) { r.wire = w }
 // reserved on the VL the switch will classify each packet into.
 func (r *RNIC) SetSL2VL(t ib.SL2VL) { r.sl2vl = t }
 
+// AddDeliverObserver chains fn onto OnDeliver after the observers already
+// installed, so several meters can share one destination.
+func (r *RNIC) AddDeliverObserver(fn DeliverFn) {
+	prev := r.OnDeliver
+	if prev == nil {
+		r.OnDeliver = fn
+		return
+	}
+	r.OnDeliver = func(pkt *ib.Packet, wireEnd units.Time) {
+		prev(pkt, wireEnd)
+		fn(pkt, wireEnd)
+	}
+}
+
+// AddRecvObserver chains fn onto OnRecvMessage after the observers already
+// installed.
+func (r *RNIC) AddRecvObserver(fn RecvFn) {
+	prev := r.OnRecvMessage
+	if prev == nil {
+		r.OnRecvMessage = fn
+		return
+	}
+	r.OnRecvMessage = func(pkt *ib.Packet, wireEnd, visibleAt units.Time) {
+		prev(pkt, wireEnd, visibleAt)
+		fn(pkt, wireEnd, visibleAt)
+	}
+}
+
 // QPOption customizes CreateQP.
 type QPOption func(*QP)
 

@@ -1,7 +1,9 @@
 package rnic_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ib"
@@ -277,6 +279,32 @@ func TestMessageSegmentation(t *testing.T) {
 	}
 	if n.PendingOps() != 0 {
 		t.Errorf("pending ops = %d, want 0", n.PendingOps())
+	}
+}
+
+// TestObserversRunInInstallOrder: two observers chained on one NIC both see
+// every delivered packet and every received message, earlier observer first.
+func TestObserversRunInInstallOrder(t *testing.T) {
+	c := topology.BackToBack(model.HWTestbed(), 12)
+	n := c.NIC(0)
+	qp := n.CreateQP(ib.RC, 1, 0)
+	var deliver, recv []string
+	dst := c.NIC(1)
+	for _, name := range []string{"a", "b"} {
+		dst.AddDeliverObserver(func(pkt *ib.Packet, _ units.Time) {
+			deliver = append(deliver, fmt.Sprintf("%s:%d", name, pkt.Payload))
+		})
+		dst.AddRecvObserver(func(pkt *ib.Packet, _, _ units.Time) {
+			recv = append(recv, fmt.Sprintf("%s:%d", name, pkt.Payload))
+		})
+	}
+	n.PostSend(qp, ib.VerbSend, 10000, nil) // three packets, one message
+	c.Eng.Run()
+	if got, want := strings.Join(deliver, " "), "a:4096 b:4096 a:4096 b:4096 a:1808 b:1808"; got != want {
+		t.Errorf("deliver observers saw %q, want %q", got, want)
+	}
+	if got, want := strings.Join(recv, " "), "a:1808 b:1808"; got != want {
+		t.Errorf("recv observers saw %q, want %q", got, want)
 	}
 }
 

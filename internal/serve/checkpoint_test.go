@@ -14,10 +14,9 @@ import (
 
 func testResult(total float64) experiments.Result {
 	return experiments.Result{
-		LSG:      stats.Summary{Count: 3, Median: 1500 * units.Nanosecond, P999: 9 * units.Microsecond},
-		BSGGbps:  []float64{12.5, 13.0625},
-		Total:    total,
-		Duration: 300 * units.Microsecond,
+		LSG:     stats.Summary{Count: 3, Median: 1500 * units.Nanosecond, P999: 9 * units.Microsecond},
+		BSGGbps: []float64{12.5, 13.0625},
+		Total:   total,
 	}
 }
 

@@ -114,8 +114,9 @@ func TestServeStreamMatchesRunRegistered(t *testing.T) {
 		Columns: []string{"points", "first_p50_us"},
 		Spec:    parsed,
 		Reduce: func(tbl *experiments.Table, pts []experiments.PointResult) error {
-			tbl.AddRow(fmt.Sprint(len(pts)), fmt.Sprintf("%.2f", pts[0].M.LSGMedianUs))
-			return nil
+			p50, err := experiments.FormatMetric("lsg_p50_us", pts[0].M)
+			tbl.AddRow(fmt.Sprint(len(pts)), p50)
+			return err
 		},
 	})
 	_, ts := newTestServer(t, Config{})

@@ -55,7 +55,7 @@ func NewPerftest(client, server *host.Host, payload units.ByteSize, warmup units
 	p.sQP = server.NIC.CreateQP(ib.RC, client.NIC.Node(), 0)
 
 	// Server: poll the RECV CQ, build the pong in software, post it.
-	chainRecv(server.NIC, func(pkt *ib.Packet, _, visibleAt units.Time) {
+	server.NIC.AddRecvObserver(func(pkt *ib.Packet, _, visibleAt units.Time) {
 		if pkt.SrcNode != client.NIC.Node() || pkt.Verb != ib.VerbSend {
 			return
 		}
@@ -66,7 +66,7 @@ func NewPerftest(client, server *host.Host, payload units.ByteSize, warmup units
 		})
 	})
 	// Client: poll for the pong; one RTT sample per iteration.
-	chainRecv(client.NIC, func(pkt *ib.Packet, _, visibleAt units.Time) {
+	client.NIC.AddRecvObserver(func(pkt *ib.Packet, _, visibleAt units.Time) {
 		if pkt.SrcNode != server.NIC.Node() || pkt.Verb != ib.VerbSend {
 			return
 		}
@@ -139,7 +139,7 @@ func NewQperf(client, server *host.Host, payload units.ByteSize, warmup units.Ti
 
 	// Server: data-poll the target buffer; write back as soon as the
 	// payload lands (no CQE on the responder side for WRITE).
-	chainRecv(server.NIC, func(pkt *ib.Packet, _, visibleAt units.Time) {
+	server.NIC.AddRecvObserver(func(pkt *ib.Packet, _, visibleAt units.Time) {
 		if pkt.SrcNode != client.NIC.Node() || pkt.Verb != ib.VerbWrite {
 			return
 		}
@@ -150,7 +150,7 @@ func NewQperf(client, server *host.Host, payload units.ByteSize, warmup units.Ti
 		})
 	})
 	// Client: data-poll for the write-back.
-	chainRecv(client.NIC, func(pkt *ib.Packet, _, visibleAt units.Time) {
+	client.NIC.AddRecvObserver(func(pkt *ib.Packet, _, visibleAt units.Time) {
 		if pkt.SrcNode != server.NIC.Node() || pkt.Verb != ib.VerbWrite {
 			return
 		}
@@ -195,15 +195,3 @@ func (q *Qperf) MeanRTT() units.Duration {
 
 // Samples reports the iteration count.
 func (q *Qperf) Samples() uint64 { return q.count }
-
-// chainRecv appends a message observer to an RNIC, preserving existing
-// ones.
-func chainRecv(n *rnic.RNIC, fn rnic.RecvFn) {
-	prev := n.OnRecvMessage
-	n.OnRecvMessage = func(pkt *ib.Packet, wireEnd, visibleAt units.Time) {
-		if prev != nil {
-			prev(pkt, wireEnd, visibleAt)
-		}
-		fn(pkt, wireEnd, visibleAt)
-	}
-}

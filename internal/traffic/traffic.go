@@ -79,7 +79,7 @@ func NewBSG(src, dst *rnic.RNIC, cfg BSGConfig) (*BSG, error) {
 		meter: stats.NewBandwidthMeter(),
 	}
 	b.onDone = func(units.Time) { b.post() }
-	addDeliverObserver(dst, func(pkt *ib.Packet, wireEnd units.Time) {
+	dst.AddDeliverObserver(func(pkt *ib.Packet, wireEnd units.Time) {
 		if pkt.SrcNode == src.Node() && pkt.Kind == ib.KindData && pkt.SL == cfg.SL {
 			b.meter.Record(wireEnd, pkt.Payload)
 		}
@@ -168,15 +168,3 @@ func (l *LSG) Start() { l.Session.Start() }
 
 // RTT returns the measured distribution.
 func (l *LSG) RTT() *stats.Histogram { return l.Session.RTT() }
-
-// addDeliverObserver chains a new observer onto the RNIC's OnDeliver hook
-// so several meters can coexist on one destination.
-func addDeliverObserver(n *rnic.RNIC, fn rnic.DeliverFn) {
-	prev := n.OnDeliver
-	n.OnDeliver = func(pkt *ib.Packet, wireEnd units.Time) {
-		if prev != nil {
-			prev(pkt, wireEnd)
-		}
-		fn(pkt, wireEnd)
-	}
-}

@@ -240,7 +240,7 @@ func NewOpen(srcs []*rnic.RNIC, dst *rnic.RNIC, cfg Config) (*Open, error) {
 		s.onDone = func(cqeAt units.Time) { s.complete(cqeAt) }
 		src := nic.Node()
 		meter := s.meter
-		addDeliverObserver(dst, func(pkt *ib.Packet, wireEnd units.Time) {
+		dst.AddDeliverObserver(func(pkt *ib.Packet, wireEnd units.Time) {
 			if pkt.SrcNode == src && pkt.Kind == ib.KindData && pkt.SL == cfg.SL {
 				meter.Record(wireEnd, pkt.Payload)
 			}
@@ -369,16 +369,4 @@ func (o *Open) Completed() uint64 {
 		n += uint64(s.completed)
 	}
 	return n
-}
-
-// addDeliverObserver chains a new observer onto the RNIC's OnDeliver hook
-// without clobbering observers other groups installed.
-func addDeliverObserver(n *rnic.RNIC, fn rnic.DeliverFn) {
-	prev := n.OnDeliver
-	n.OnDeliver = func(pkt *ib.Packet, wireEnd units.Time) {
-		if prev != nil {
-			prev(pkt, wireEnd)
-		}
-		fn(pkt, wireEnd)
-	}
 }
