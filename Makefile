@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race cover bench bench-queue bench-sweep bench-json bench-compare test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench golden smoke-examples smoke-specs smoke-serve ci
+.PHONY: all vet build test race cover bench bench-queue bench-json bench-compare test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench golden smoke-examples smoke-specs smoke-serve ci
 
 all: vet build test
 
@@ -27,14 +27,9 @@ bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
 # bench-queue compares the timing-wheel calendar against the 4-ary-heap
-# and seed container/heap baselines (see internal/sim/queue_bench_test.go).
+# baseline it replaced (see internal/sim/queue_bench_test.go).
 bench-queue:
 	$(GO) test -run XXX -bench 'BenchmarkQueue' -benchtime 2s ./internal/sim/
-
-# bench-sweep measures the parallel runner against the sequential path on
-# a Fig. 7a-shaped sweep.
-bench-sweep:
-	$(GO) test -run XXX -bench 'BenchmarkSweep' -benchtime 5x .
 
 # bench-json runs the benchmark suite with -benchmem and writes a
 # bench/BENCH_<unix-time>.json trajectory snapshot (see cmd/benchjson), so
@@ -104,7 +99,7 @@ test-faults:
 # the cancellation and engine-interrupt layers it stands on.
 test-serve:
 	$(GO) test -race ./internal/serve/
-	$(GO) test -race -run 'Interrupt|MapOrdered|RunCancelled|RunSeedsUncancelled|SpecHash' \
+	$(GO) test -race -run 'Interrupt|MapOrdered|RunCancelled|RunSpecUncancelled|SpecHash' \
 		./internal/sim/ ./internal/experiments/
 
 # test-workload runs the open-loop subsystem suite under -race: the sealed
@@ -153,18 +148,25 @@ smoke-examples: smoke-specs
 	done
 
 # smoke-specs exercises the declarative experiment surface: the registry
-# listing, and a parse + Quick()-scale run of every committed .json spec
+# listing, a parse + Quick()-scale run of every committed .json spec
 # (specs/ and the example specs), so a spec that drifts from the schema
-# fails CI instead of rotting.
+# fails CI instead of rotting, and the built binary's flag wiring for
+# several registered ids and for the playground.
 smoke-specs:
 	@set -e; \
+	bin=$$(mktemp); trap 'rm -f "$$bin"' EXIT; \
+	$(GO) build -o "$$bin" ./cmd/ibsim; \
 	echo "== ibsim list"; \
-	$(GO) run ./cmd/ibsim list >/dev/null; \
+	"$$bin" list >/dev/null; \
 	for f in specs/*.json examples/*/spec.json; do \
 		[ -e "$$f" ] || continue; \
 		echo "== ibsim run -spec $$f"; \
-		$(GO) run ./cmd/ibsim run -spec "$$f" -measure 3ms -warmup 1ms -seeds 1 >/dev/null; \
-	done
+		"$$bin" run -spec "$$f" -measure 3ms -warmup 1ms -seeds 1 >/dev/null; \
+	done; \
+	echo "== ibsim run -id fig7a,fig12"; \
+	"$$bin" run -id fig7a,fig12 -measure 300us -warmup 100us -seeds 1 -format jsonl >/dev/null; \
+	echo "== ibsim -qos -pretend"; \
+	"$$bin" -qos -pretend -measure 300us -warmup 100us -seeds 1 >/dev/null
 
 # ci runs each test once per mode: plain, -race, debugpackets. The focused
 # -race targets above (test-shard, test-faults, test-serve, test-workload)

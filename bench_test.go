@@ -29,13 +29,9 @@ func benchOpts() experiments.Options {
 // benchFigure runs one experiment per iteration and reports a headline
 // metric extracted from the table.
 func benchFigure(b *testing.B, id string, metric string, row, col int) {
-	runner, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
 	var last float64
 	for i := 0; i < b.N; i++ {
-		tbl, err := runner(benchOpts())
+		tbl, err := experiments.RunID(id, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,60 +170,34 @@ func BenchmarkAblationSingleEngine(b *testing.B) {
 	b.ReportMetric(med, "biased_p50_ns")
 }
 
-// --- Parallel scenario runner ---------------------------------------------
+// --- Sweep runner -----------------------------------------------------------
 
-// benchSweep regenerates a Fig. 7a-shaped converged sweep (six scenarios ×
-// two seeds) with the given worker-pool size. On an N-core machine the
-// parallel variant approaches N× the sequential rate; the tables are
-// byte-identical either way (see internal/experiments/runner.go and the
-// determinism golden tests). Compare:
-//
-//	go test -bench 'BenchmarkSweep' -benchtime 5x .
-func benchSweep(b *testing.B, workers int) {
+// benchSweep regenerates a registered sweep over two seeds on the scenario
+// runner's single-worker reference path. Parallel tables are byte-identical
+// to it (determinism_test.go, `make race`); their speedup depends on the
+// box's free CPUs, not on the code.
+func benchSweep(b *testing.B, id string) {
 	opts := experiments.Options{
 		Measure:  units.Millisecond,
 		Warmup:   250 * units.Microsecond,
 		Seeds:    []uint64{1, 2},
-		Parallel: workers,
+		Parallel: 1,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunID("fig7a", opts); err != nil {
+		if _, err := experiments.RunID(id, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSweepSequential is the single-worker reference path.
-func BenchmarkSweepSequential(b *testing.B) { benchSweep(b, 1) }
+// BenchmarkSweepSequential is the Fig. 7a converged sweep: six scenarios.
+func BenchmarkSweepSequential(b *testing.B) { benchSweep(b, "fig7a") }
 
-// BenchmarkSweepParallel uses one worker per available CPU.
-func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
-
-// benchIncastSweep scales the fat-tree incast sweep (nine fabric x depth
-// points, internal/experiments/incast.go) across the worker pool: the
-// multi-switch counterpart of benchSweep, with 6-switch fabrics and up to
-// eight converging senders per run.
-func benchIncastSweep(b *testing.B, workers int) {
-	opts := experiments.Options{
-		Measure:  units.Millisecond,
-		Warmup:   250 * units.Microsecond,
-		Seeds:    []uint64{1, 2},
-		Parallel: workers,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunID("incast", opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepIncastSequential is the single-worker reference path.
-func BenchmarkSweepIncastSequential(b *testing.B) { benchIncastSweep(b, 1) }
-
-// BenchmarkSweepIncastParallel uses one worker per available CPU.
-func BenchmarkSweepIncastParallel(b *testing.B) { benchIncastSweep(b, 0) }
+// BenchmarkSweepIncastSequential is the fat-tree incast sweep: nine
+// fabric x depth points (internal/experiments/incast.go), with 6-switch
+// fabrics and up to eight converging senders per run.
+func BenchmarkSweepIncastSequential(b *testing.B) { benchSweep(b, "incast") }
 
 // --- Micro-benchmarks of the substrate ------------------------------------
 

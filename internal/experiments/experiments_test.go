@@ -235,13 +235,13 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
-func TestByID(t *testing.T) {
+func TestLookup(t *testing.T) {
 	for _, id := range []string{"fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9", "eq2", "fig10", "fig11", "fig12", "fig13", "incast", "alltoall", "crossspine"} {
-		if _, ok := ByID(id); !ok {
-			t.Errorf("missing runner %s", id)
+		if _, ok := Lookup(id); !ok {
+			t.Errorf("missing definition %s", id)
 		}
 	}
-	if _, ok := ByID("fig99"); ok {
+	if _, ok := Lookup("fig99"); ok {
 		t.Error("unknown id should not resolve")
 	}
 }

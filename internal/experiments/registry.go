@@ -9,7 +9,7 @@ import (
 // every extension experiment is a Definition — a declarative Spec, its
 // column names and, where the table derives cells, a small row-assembly
 // function — registered at init time. The registry is
-// what `ibsim list` prints, what ByID/RunID resolve, and what the
+// what `ibsim list` prints, what Lookup/RunID resolve, and what the
 // spec-serialization tests iterate to prove every compiled-in experiment
 // is expressible as plain data.
 
@@ -92,17 +92,6 @@ func RunID(id string, opts Options) (*Table, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 	}
 	return RunSpec(d, opts)
-}
-
-// ByID returns a runner for an experiment id ("fig4" ... "fig13", "eq2",
-// the extensions and the fat-tree suites) — the closure-based form the
-// benchmarks and facade use.
-func ByID(id string) (func(Options) (*Table, error), bool) {
-	d, ok := Lookup(id)
-	if !ok {
-		return nil, false
-	}
-	return func(opts Options) (*Table, error) { return RunSpec(d, opts) }, true
 }
 
 // All runs the paper's figures in paper order. Each experiment runs after

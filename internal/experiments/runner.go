@@ -112,12 +112,3 @@ func mapOrdered[T any](ctx context.Context, n, workers int, fn func(int) (T, err
 	}
 	return out, nil
 }
-
-// RunSeeds runs the point once per seed in opts across the worker pool
-// and returns the per-seed results in seed order. The result slice is
-// identical to calling Run sequentially for each seed.
-func RunSeeds(p Point, opts Options) ([]Result, error) {
-	return mapOrdered(opts.Ctx, len(opts.Seeds), opts.workers(), func(i int) (Result, error) {
-		return Run(p, opts, opts.Seeds[i])
-	})
-}

@@ -153,27 +153,60 @@ func TestRunCancelledMidSimulation(t *testing.T) {
 	}
 }
 
-// TestRunSeedsUncancelledUnchanged: threading a live context through a
-// run must not perturb results — byte-determinism holds with and without
-// Options.Ctx installed.
-func TestRunSeedsUncancelledUnchanged(t *testing.T) {
-	spec, err := ParseSpec([]byte(`{"base":{"topology":{"kind":"star"},"workload":[{"kind":"bsg","count":2,"payload":4096}]},"collect":["lsg_p50_us"]}`))
+// TestRunSpecUncancelledUnchanged: threading a live context through a
+// sweep must not perturb results — byte-determinism holds with and
+// without Options.Ctx installed.
+func TestRunSpecUncancelledUnchanged(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{"base":{"topology":{"kind":"star"},"workload":[{"kind":"bsg","count":2,"payload":4096},{"kind":"lsg"}]},"collect":["lsg_p50_us","lsg_p999_us","bulk_total_gbps"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{Measure: 300 * units.Microsecond, Seeds: []uint64{1, 2}}
-	plain, err := RunSeeds(*spec.Base, opts)
+	plain, err := RunSpecGeneric(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opts.Ctx = ctx
-	withCtx, err := RunSeeds(*spec.Base, opts)
+	withCtx, err := RunSpecGeneric(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprintf("%+v", plain) != fmt.Sprintf("%+v", withCtx) {
-		t.Fatal("installing a live context changed run results")
+	if plain.String() != withCtx.String() {
+		t.Fatalf("installing a live context changed the table:\n%s\nvs\n%s", plain, withCtx)
+	}
+}
+
+// TestRunSpecRejectsBadOptions: options no sweep can reduce fail before
+// any job runs, with an error naming the option, while the smallest
+// window a caller can ask for (1 ns measured, no warmup) stays valid.
+// The bad cases carry a cancelled context, so a check made after dispatch
+// would report the cancellation instead.
+func TestRunSpecRejectsBadOptions(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{"base":{"topology":{"kind":"star"},"workload":[{"kind":"lsg"}]},"collect":["lsg_samples"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	seeds := []uint64{1, 2, 3}
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Measure: units.Millisecond}, "seeds"},
+		{Options{Measure: units.Millisecond, Seeds: []uint64{}}, "seeds"},
+		{Options{Seeds: seeds}, "measure"},
+		{Options{Measure: -units.Millisecond, Seeds: seeds}, "measure"},
+		{Options{Measure: units.Millisecond, Warmup: -1, Seeds: seeds}, "warmup"},
+	} {
+		tc.opts.Ctx = cancelled
+		if _, err := RunSpecGeneric(spec, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: got error %v, want one naming %q", tc.opts, err, tc.want)
+		}
+	}
+	if _, err := RunSpecGeneric(spec, Options{Measure: units.Nanosecond, Seeds: seeds}); err != nil {
+		t.Errorf("1 ns window, no warmup: %v", err)
 	}
 }

@@ -54,7 +54,7 @@ type textSink struct {
 	rows [][]string
 }
 
-// NewTextSink returns the aligned-text sink (the `ibbench` default).
+// NewTextSink returns the aligned-text sink (the `ibsim run` default).
 func NewTextSink(w io.Writer) Sink { return &textSink{w: w} }
 
 func (s *textSink) Begin(meta TableMeta) error { s.meta = meta; return nil }

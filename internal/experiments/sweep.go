@@ -234,6 +234,16 @@ func wireBytes(payload, mtu units.ByteSize) units.ByteSize {
 // grid across the worker pool, reduce, assemble. The returned table is a
 // pure function of (definition, options) regardless of Options.Parallel.
 func RunSpec(d Definition, opts Options) (*Table, error) {
+	// Reject options no sweep can reduce, with the bounds serve puts on
+	// its query parameters.
+	switch {
+	case len(opts.Seeds) == 0:
+		return nil, fmt.Errorf("experiments: seeds must name at least one seed")
+	case opts.Measure <= 0:
+		return nil, fmt.Errorf("experiments: measure must be positive, got %v", opts.Measure)
+	case opts.Warmup < 0:
+		return nil, fmt.Errorf("experiments: warmup must be non-negative, got %v", opts.Warmup)
+	}
 	if err := d.Spec.Validate(); err != nil {
 		return nil, err
 	}

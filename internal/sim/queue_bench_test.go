@@ -1,108 +1,28 @@
 package sim
 
-// Benchmarks comparing three calendar generations on two workloads:
+// Benchmarks comparing the engine's calendar against its predecessor on
+// two workloads:
 //
 //   - Wheel: the hierarchical timing wheel behind Engine (wheel.go).
-//   - Heap: the indexed 4-ary heap that was the engine through PR 3,
-//     retained in sim.go as the far-future overflow structure and driven
-//     here through a minimal harness with the engine's exact (time, seq)
-//     discipline.
-//   - Legacy: the seed's container/heap binary-heap engine, preserved
-//     verbatim (modulo renaming).
+//   - Heap: the indexed 4-ary heap the wheel replaced, retained in sim.go
+//     as the far-future overflow structure and driven here through a
+//     minimal harness with the engine's exact (time, seq) discipline.
 //
 // Two workloads matter:
 //
 //   - Mix: the generic schedule/cancel/pop churn of a busy fabric.
 //   - Wake: the switch/NIC pattern — one pending evaluation per resource,
 //     constantly pulled earlier — served with Reschedule (same-bucket
-//     moves on the wheel, one sift on the heaps) instead of Cancel+At.
+//     moves on the wheel, one sift on the heap) instead of Cancel+At.
 //
 // Results are recorded in CHANGES.md.
 
 import (
-	"container/heap"
 	"testing"
 
 	"repro/internal/rng"
 	"repro/internal/units"
 )
-
-// legacyEngine is the seed's binary-heap event engine (container/heap,
-// no free list, no reschedule).
-type legacyEngine struct {
-	now   units.Time
-	queue legacyHeap
-	seq   uint64
-}
-
-type legacyEvent struct {
-	at    units.Time
-	seq   uint64
-	fn    func()
-	index int
-	label string
-}
-
-func (e *legacyEngine) At(at units.Time, label string, fn func()) *legacyEvent {
-	ev := &legacyEvent{at: at, seq: e.seq, fn: fn, label: label}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
-}
-
-func (e *legacyEngine) Cancel(ev *legacyEvent) {
-	if ev == nil || ev.index < 0 {
-		return
-	}
-	heap.Remove(&e.queue, ev.index)
-	ev.index = -1
-	ev.fn = nil
-}
-
-func (e *legacyEngine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
-	}
-	ev := heap.Pop(&e.queue).(*legacyEvent)
-	ev.index = -1
-	e.now = ev.at
-	fn := ev.fn
-	ev.fn = nil
-	fn()
-	return true
-}
-
-type legacyHeap []*legacyEvent
-
-func (h legacyHeap) Len() int { return len(h) }
-
-func (h legacyHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h legacyHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *legacyHeap) Push(x any) {
-	ev := x.(*legacyEvent)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *legacyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
 
 // The mix benchmark holds a standing population of pending events and, per
 // iteration, schedules two, cancels one and pops one — the churn profile
@@ -239,43 +159,6 @@ func BenchmarkQueueMixHeap(b *testing.B) {
 	}
 }
 
-func BenchmarkQueueMixLegacy(b *testing.B) {
-	e := &legacyEngine{}
-	src := rng.New(1)
-	type entry struct {
-		id int
-		ev *legacyEvent
-	}
-	var fired []bool
-	var live []entry
-	sched := func() {
-		id := len(fired)
-		fired = append(fired, false)
-		ev := e.At(e.now.Add(units.Duration(src.Intn(1_000_000))), "mix", func() { fired[id] = true })
-		live = append(live, entry{id, ev})
-	}
-	for i := 0; i < mixPopulation; i++ {
-		sched()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sched()
-		sched()
-		for len(live) > 0 {
-			j := src.Intn(len(live))
-			en := live[j]
-			live[j] = live[len(live)-1]
-			live = live[:len(live)-1]
-			if fired[en.id] {
-				continue
-			}
-			e.Cancel(en.ev)
-			break
-		}
-		e.Step()
-	}
-}
-
 // The wake benchmark reproduces the egress-arbiter pattern: a background
 // population of timer events, plus one "pending pick" per port that is
 // repeatedly pulled to an earlier time as packets arrive.
@@ -321,30 +204,6 @@ func BenchmarkQueueWakeHeap(b *testing.B) {
 			e.Reschedule(picks[p], at)
 		} else {
 			e.Reschedule(picks[p], at.Add(500_000_000))
-		}
-	}
-}
-
-func BenchmarkQueueWakeLegacy(b *testing.B) {
-	e := &legacyEngine{}
-	src := rng.New(2)
-	var picks [wakePorts]*legacyEvent
-	for i := 0; i < mixPopulation; i++ {
-		e.At(units.Time(1_000_000_000+src.Intn(1_000_000_000)), "bg", nopFn)
-	}
-	for p := range picks {
-		picks[p] = e.At(units.Time(500_000_000+src.Intn(100_000_000)), "pick", nopFn)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := src.Intn(wakePorts)
-		at := units.Time(1_000_000 + src.Intn(400_000_000))
-		if picks[p].at > at {
-			e.Cancel(picks[p])
-			picks[p] = e.At(at, "pick", nopFn)
-		} else {
-			e.Cancel(picks[p])
-			picks[p] = e.At(at.Add(500_000_000), "pick", nopFn)
 		}
 	}
 }

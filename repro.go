@@ -323,11 +323,11 @@ func QuickExperimentOptions() ExperimentOptions { return experiments.Quick() }
 // "ext-ratelimit") or the fat-tree suite ("incast", "alltoall",
 // "crossspine"). Experiments lists the valid IDs.
 func RunExperiment(id string, opts ExperimentOptions) (*ExperimentTable, error) {
-	f, ok := experiments.ByID(id)
+	d, ok := experiments.Lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("repro: unknown experiment %q (valid: %s)", id, strings.Join(experiments.IDs(), ", "))
 	}
-	return f(opts)
+	return experiments.RunSpec(d, opts)
 }
 
 // RunAllExperiments regenerates every figure in paper order.
