@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race cover bench bench-queue bench-json bench-compare test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench golden smoke-examples smoke-specs smoke-serve ci
+.PHONY: all vet build test race cover bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench golden smoke-examples smoke-specs smoke-serve ci
 
 all: vet build test
 
@@ -30,29 +30,6 @@ bench:
 # baseline it replaced (see internal/sim/queue_bench_test.go).
 bench-queue:
 	$(GO) test -run XXX -bench 'BenchmarkQueue' -benchtime 2s ./internal/sim/
-
-# bench-json runs the benchmark suite with -benchmem and writes a
-# bench/BENCH_<unix-time>.json trajectory snapshot (see cmd/benchjson), so
-# perf numbers can be committed and diffed across PRs. Staged through a
-# temp file (not a pipe) so a failing benchmark fails the target instead
-# of silently producing a partial snapshot.
-bench-json:
-	@set -e; mkdir -p bench; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-		$(GO) test -run XXX -bench . -benchmem -benchtime 1s -timeout 30m ./... > "$$tmp"; \
-		$(GO) run ./cmd/benchjson -out bench/BENCH_$$(date +%s).json < "$$tmp"
-
-# bench-compare regenerates a fresh snapshot in a temp file and diffs it
-# against the newest committed bench/BENCH_*.json. Informational by
-# default — a single-CPU CI runner is too noisy to gate merges on ns/op —
-# but MAX_REGRESS=<pct> turns it into a hard gate (nonzero exit when any
-# benchmark's ns/op regresses more than that).
-bench-compare:
-	@set -e; tmp=$$(mktemp); out=$$(mktemp); trap 'rm -f "$$tmp" "$$out"' EXIT; \
-		base=$$(ls bench/BENCH_*.json | sort | tail -1); \
-		echo "bench-compare: baseline $$base"; \
-		$(GO) test -run XXX -bench . -benchmem -benchtime 1s -timeout 30m ./... > "$$tmp"; \
-		$(GO) run ./cmd/benchjson -out "$$out" < "$$tmp"; \
-		$(GO) run ./cmd/benchjson compare $(if $(MAX_REGRESS),-max-regress $(MAX_REGRESS)) "$$base" "$$out"
 
 # test-alloc runs the allocation-regression tests: the steady-state hot
 # path (forwarding, converged traffic, incast) must stay at 0 allocs/packet.
@@ -99,7 +76,7 @@ test-faults:
 # the cancellation and engine-interrupt layers it stands on.
 test-serve:
 	$(GO) test -race ./internal/serve/
-	$(GO) test -race -run 'Interrupt|MapOrdered|RunCancelled|RunSpecUncancelled|SpecHash' \
+	$(GO) test -race -run 'Interrupt|Stream|RunCancelled|RunSpecUncancelled|SpecHash' \
 		./internal/sim/ ./internal/experiments/
 
 # test-workload runs the open-loop subsystem suite under -race: the sealed

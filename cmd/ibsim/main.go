@@ -26,10 +26,11 @@
 //	ibsim serve -addr 127.0.0.1:8080 [-checkpoint dir] [-max-running 2]
 //	            [-max-queued 8] [-job-deadline 0] [-retries 2]
 //	            [-retry-base 100ms] [-drain 10s] [-workers 0]
-//	            [-measure 12ms] [-warmup 3ms] [-seeds 3]
-//	    Run the experiment service: POST a spec JSON to /run and the
-//	    reduced table streams back as JSON lines, byte-identical to
-//	    `ibsim run -format jsonl`. Per-job panic isolation, deadlines,
+//	    Run the experiment service: POST a spec JSON to
+//	    /run[?measure=12ms&warmup=3ms&seeds=3] (the run defaults) and the
+//	    reduced table streams back as JSON lines, row by row as points
+//	    complete, byte-identical to `ibsim run -format jsonl`: both run
+//	    sweeps through one executor. Per-job panic isolation, deadlines,
 //	    retry/backoff, 429 load shedding, sweep checkpointing with
 //	    crash-safe resume, and graceful drain on SIGTERM. /healthz and
 //	    /stats expose liveness and counters.
@@ -388,9 +389,6 @@ func cmdServe(args []string) {
 	retryBase := fs.Duration("retry-base", 100*time.Millisecond, "backoff before the first retry (doubles per retry)")
 	drain := fs.Duration("drain", 10*time.Second, "grace period for in-flight jobs on shutdown before hard cancel")
 	workers := fs.Int("workers", 0, "job worker pool per sweep (0 = GOMAXPROCS)")
-	measure := fs.Duration("measure", 12*time.Millisecond, "default simulated measurement window (override per request: ?measure=)")
-	warmup := fs.Duration("warmup", 3*time.Millisecond, "default simulated warmup (override per request: ?warmup=)")
-	seeds := fs.Int("seeds", 3, "default seeds to average (override per request: ?seeds=)")
 	must(fs.Parse(args))
 
 	srv, err := serve.New(serve.Config{
@@ -400,9 +398,6 @@ func cmdServe(args []string) {
 		JobDeadline:   *jobDeadline,
 		Retry:         serve.RetryPolicy{MaxRetries: *retries, BaseDelay: *retryBase, MaxDelay: 5 * time.Second},
 		Workers:       *workers,
-		Measure:       *measure,
-		Warmup:        *warmup,
-		Seeds:         *seeds,
 	})
 	if err != nil {
 		fatal(err)

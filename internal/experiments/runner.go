@@ -9,14 +9,16 @@ import (
 	"sync/atomic"
 )
 
-// This file is the concurrent scenario runner. Every scenario run owns an
-// independent sim.Engine and rng.Source derived from (configuration, seed),
-// so runs never share mutable state and are embarrassingly parallel. The
-// runner exploits that: it fans the flattened scenario×seed job grid of a
-// sweep across a bounded worker pool, stores each result at its job index,
-// and leaves every reduction (seed averaging, row formatting) sequential in
-// job order — which makes parallel output byte-for-byte identical to the
-// sequential path. DESIGN.md spells out the contract.
+// This file is the sweep executor, the one path every table takes —
+// RunSpec's and the serve package's alike. Every scenario run owns an
+// independent sim.Engine and rng.Source derived from (configuration,
+// seed), so runs never share mutable state and are embarrassingly
+// parallel. The executor exploits that: it fans the flattened point×seed
+// job grid of a sweep across a bounded worker pool, hands every outcome
+// back to the calling goroutine, and leaves every reduction (seed
+// averaging, row formatting) there, sequential in grid order — which makes
+// parallel output byte-for-byte identical to the sequential path.
+// DESIGN.md spells out the contract.
 
 // workers resolves the pool size: Options.Parallel if set, else one worker
 // per available CPU.
@@ -27,88 +29,143 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// recovered invokes fn(i), converting a panic into an error carrying the
-// panic value and stack. One poisoned job must fail its own slot, never
-// the pool: the worker goroutines and the sequential reference loop share
-// this wrapper, so containment does not depend on the mode.
-func recovered[T any](i int, fn func(int) (T, error)) (v T, err error) {
+// recovered invokes run(job), converting a panic into an error carrying
+// the panic value and stack. One poisoned job must fail its own point,
+// never the pool: the worker goroutines and the sequential loop share this
+// wrapper, so containment does not depend on the mode.
+func recovered(job int, run func(int) (Result, error)) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("experiments: job %d panicked: %v\n%s", i, r, debug.Stack())
+			err = fmt.Errorf("experiments: job %d panicked: %v\n%s", job, r, debug.Stack())
 		}
 	}()
-	return fn(i)
+	return run(job)
 }
 
-// mapOrdered computes fn(0..n-1) on up to workers goroutines and returns
-// the results in index order. With one worker it degenerates to a plain
-// loop on the calling goroutine — the reference sequential path. On error
-// the remaining jobs still run (in every mode, so side effects do not
-// depend on the pool size), and the error of the lowest-indexed failed
-// job is returned, so the reported error does not depend on goroutine
-// interleaving either. A panicking job is contained: it becomes that job's
-// error (with the stack attached) under the same lowest-index rule.
+// Stream executes one sweep and writes its table to sink. Job j runs point
+// j/len(seeds) under seed seeds[j%len(seeds)] on up to workers goroutines;
+// workers <= 1 is a plain loop on the calling goroutine, the sequential
+// reference path. A panicking job becomes that job's error.
 //
-// Cancelling ctx stops dispatch: jobs not yet started never start — in
-// every mode, so the dispatched prefix is the same shape sequentially and
-// in parallel — while jobs already in flight drain cleanly (the pool joins
-// before returning). A cancelled run reports the context's error rather
-// than any individual job's.
-func mapOrdered[T any](ctx context.Context, n, workers int, fn func(int) (T, error)) ([]T, error) {
+// Every outcome comes back to the calling goroutine, which reduces each
+// point in seed order and writes rows in grid order: a generic-layout row
+// as soon as its point and every earlier point are complete, a custom
+// layout's rows once the whole grid is in and no point has failed. A
+// failed point is reported to fail, in grid order, instead of its row,
+// with the error of its lowest failed seed; fail(-1, err) reports a custom
+// row assembly that failed. Jobs keep running after a failure, so one
+// poisoned point never starves its neighbors.
+//
+// Cancelling ctx stops dispatch: jobs not yet started never start, in
+// either mode, while jobs in flight finish. An error a job returns after
+// the cancel is an interruption, not a failure: it is not counted, and
+// its point is never reported. Stream returns the number of jobs
+// completed; short of the whole grid, the table is left without End.
+// Stream does not check the sink's errors: a sink whose writes can fail
+// stops the sweep through ctx, as serve's does when its client goes away.
+func Stream(ctx context.Context, d Definition, rps []ResolvedPoint, seeds []uint64, workers int,
+	run func(job int) (Result, error), sink Sink, fail func(point int, err error)) (completed int) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]T, n)
+	ns, n := len(seeds), len(rps)*len(seeds)
+	shell := TableShell(d)
+	sink.Begin(TableMeta{ID: shell.ID, Title: shell.Title, Columns: shell.Columns, Notes: shell.Notes})
+
+	results := make([]Result, n)
+	errs := make([]error, n)
+	done := make([]int, len(rps)) // jobs in, per point
+	next, failed := 0, false      // next: the first point not yet written
+	point := func(i int) PointResult {
+		return PointResult{Point: rps[i].Point, Labels: rps[i].Labels, M: ReduceSeeds(results[i*ns : (i+1)*ns])}
+	}
+	pointErr := func(i int) error {
+		for s, err := range errs[i*ns : (i+1)*ns] {
+			if err != nil {
+				return fmt.Errorf("seed %d: %w", seeds[s], err)
+			}
+		}
+		return nil
+	}
+	// exec runs job j into its slots and reports whether it counts: a
+	// success always does, an error only while dispatch is live.
+	exec := func(j int) bool {
+		results[j], errs[j] = recovered(j, run)
+		return errs[j] == nil || ctx.Err() == nil
+	}
+	collect := func(j int) {
+		completed++
+		done[j/ns]++
+		for ; next < len(rps) && done[next] == ns; next++ {
+			err := pointErr(next)
+			if err == nil && d.Reduce == nil {
+				var row []string
+				if row, err = genericRow(d.Spec, point(next)); err == nil {
+					sink.Row(row)
+				}
+			}
+			if err != nil {
+				failed = true
+				fail(next, err)
+			}
+		}
+	}
+
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		var firstErr error
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("experiments: sweep cancelled after %d of %d jobs: %w", i, n, ctx.Err())
+		for j := 0; j < n && ctx.Err() == nil; j++ {
+			if exec(j) {
+				collect(j)
 			}
-			v, err := recovered(i, fn)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			out[i] = v
 		}
-		if firstErr != nil {
-			return nil, firstErr
+	} else {
+		// Workers send the jobs that count; receiving one orders its slots'
+		// writes before the caller reads them. One buffer slot per worker,
+		// so a worker rarely waits on the sink.
+		out := make(chan int, workers)
+		var claim atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for ctx.Err() == nil {
+					j := int(claim.Add(1)) - 1
+					if j >= n {
+						return
+					}
+					if exec(j) {
+						out <- j
+					}
+				}
+			}()
 		}
-		return out, nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	next.Store(-1)
-	var started atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				started.Add(1)
-				out[i], errs[i] = recovered(i, fn)
-			}
+			wg.Wait()
+			close(out)
 		}()
-	}
-	wg.Wait()
-	if ctx.Err() != nil {
-		return nil, fmt.Errorf("experiments: sweep cancelled after %d of %d jobs: %w", started.Load(), n, ctx.Err())
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		for j := range out {
+			collect(j)
 		}
 	}
-	return out, nil
+	if completed < n {
+		return completed
+	}
+	if d.Reduce != nil && !failed {
+		pts := make([]PointResult, len(rps))
+		for i := range pts {
+			pts[i] = point(i)
+		}
+		if err := AssembleInto(shell, d, pts); err != nil {
+			fail(-1, err)
+		} else {
+			for _, row := range shell.Rows {
+				sink.Row(row)
+			}
+		}
+	}
+	sink.End()
+	return completed
 }

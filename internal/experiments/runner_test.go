@@ -12,97 +12,170 @@ import (
 	"repro/internal/units"
 )
 
-// Runner robustness tests: panic containment and context cancellation in
-// both execution modes. The service layer (internal/serve) leans on these
-// invariants, but they are contracts of the runner itself — ibsim run's
-// ^C handling uses exactly the same paths.
+// Executor robustness tests: panic containment, error attribution and
+// context cancellation in both execution modes. The service layer
+// (internal/serve) and ibsim run's ^C handling both stand on these
+// contracts, since both run their sweeps through Stream.
 
-func TestMapOrderedPanicBecomesError(t *testing.T) {
+// streamGrid is a generic definition over n points, for driving Stream
+// with fake jobs; a job's Result.Total becomes its bulk_total_gbps cell.
+func streamGrid(n int) (Definition, []ResolvedPoint) {
+	rps := make([]ResolvedPoint, n)
+	for i := range rps {
+		rps[i].Labels = []string{fmt.Sprint(i)}
+	}
+	return Definition{ID: "streamtest", Spec: Spec{Collect: []string{"bulk_total_gbps"}}}, rps
+}
+
+// recordSink keeps the rows Stream writes and whether it ended the table.
+type recordSink struct {
+	rows  [][]string
+	ended bool
+}
+
+func (s *recordSink) Begin(TableMeta) error    { return nil }
+func (s *recordSink) Row(cells []string) error { s.rows = append(s.rows, cells); return nil }
+func (s *recordSink) End() error               { s.ended = true; return nil }
+
+// failure is one fail callback.
+type failure struct {
+	point int
+	err   error
+}
+
+func TestStreamPanicBecomesError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
+		d, rps := streamGrid(8)
 		var ran atomic.Int64
-		_, err := mapOrdered(nil, 8, workers, func(i int) (int, error) {
+		var sink recordSink
+		var fails []failure
+		completed := Stream(nil, d, rps, []uint64{1}, workers, func(j int) (Result, error) {
 			ran.Add(1)
-			if i == 3 {
-				panic(fmt.Sprintf("poisoned job %d", i))
+			if j == 3 {
+				panic(fmt.Sprintf("poisoned job %d", j))
 			}
-			return i, nil
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: panic did not surface as an error", workers)
+			return Result{Total: float64(j)}, nil
+		}, &sink, func(p int, err error) { fails = append(fails, failure{p, err}) })
+		if len(fails) != 1 || fails[0].point != 3 {
+			t.Fatalf("workers=%d: want one failure at point 3, got %v", workers, fails)
 		}
+		err := fails[0].err
 		if !strings.Contains(err.Error(), "job 3 panicked") || !strings.Contains(err.Error(), "poisoned job 3") {
 			t.Fatalf("workers=%d: error lacks job index or panic value: %v", workers, err)
 		}
 		if !strings.Contains(err.Error(), "runner_test.go") {
 			t.Fatalf("workers=%d: error lacks the panic stack: %v", workers, err)
 		}
-		// Containment means the rest of the grid still runs.
-		if got := ran.Load(); got != 8 {
-			t.Fatalf("workers=%d: %d of 8 jobs ran after the panic", workers, got)
+		// Containment means the rest of the grid still runs and writes.
+		if got := ran.Load(); got != 8 || completed != 8 {
+			t.Fatalf("workers=%d: %d of 8 jobs ran, %d completed after the panic", workers, got, completed)
+		}
+		if len(sink.rows) != 7 || !sink.ended {
+			t.Fatalf("workers=%d: want 7 rows and End around the failed point, got %d rows, ended=%v", workers, len(sink.rows), sink.ended)
 		}
 	}
 }
 
-// TestMapOrderedPanicLowestIndexWins: with several poisoned jobs the
-// reported error is the lowest-indexed one in every mode, so the failure
-// a caller sees does not depend on goroutine interleaving.
-func TestMapOrderedPanicLowestIndexWins(t *testing.T) {
+// TestStreamLowestFailedSeedWins: a point failing on several seeds is
+// reported once, in grid order, naming its lowest failed seed in every
+// mode — even when a higher seed fails first — so the failure a caller
+// sees does not depend on goroutine interleaving.
+func TestStreamLowestFailedSeedWins(t *testing.T) {
+	seeds := []uint64{11, 12}
 	for _, workers := range []int{1, 4} {
-		_, err := mapOrdered(nil, 8, workers, func(i int) (int, error) {
-			if i == 2 || i == 6 {
+		d, rps := streamGrid(4)
+		var fails []failure
+		Stream(nil, d, rps, seeds, workers, func(j int) (Result, error) {
+			switch j {
+			case 2: // point 1, seed 11: fails after seed 12 has
+				time.Sleep(20 * time.Millisecond)
+				return Result{}, errors.New("plain failure")
+			case 3, 5: // point 1, seed 12; point 2, seed 12
 				panic("boom")
 			}
-			if i == 4 {
-				return 0, errors.New("plain failure")
-			}
-			return i, nil
-		})
-		if err == nil || !strings.Contains(err.Error(), "job 2 panicked") {
-			t.Fatalf("workers=%d: want job 2's panic, got %v", workers, err)
+			return Result{}, nil
+		}, &recordSink{}, func(p int, err error) { fails = append(fails, failure{p, err}) })
+		if len(fails) != 2 {
+			t.Fatalf("workers=%d: want one failure per failed point, got %v", workers, fails)
+		}
+		if fails[0].point != 1 || !strings.HasPrefix(fails[0].err.Error(), "seed 11: plain failure") {
+			t.Fatalf("workers=%d: want point 1's seed 11 first, got point %d: %v", workers, fails[0].point, fails[0].err)
+		}
+		if fails[1].point != 2 || !strings.Contains(fails[1].err.Error(), "seed 12: experiments: job 5 panicked") {
+			t.Fatalf("workers=%d: want point 2's seed 12 panic, got point %d: %v", workers, fails[1].point, fails[1].err)
 		}
 	}
 }
 
-func TestMapOrderedCancelStopsDispatch(t *testing.T) {
+func TestStreamCancelStopsDispatch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		var ran atomic.Int64
 		const n = 100
-		_, err := mapOrdered(ctx, n, workers, func(i int) (int, error) {
+		d, rps := streamGrid(n)
+		var ran atomic.Int64
+		var sink recordSink
+		completed := Stream(ctx, d, rps, []uint64{1}, workers, func(j int) (Result, error) {
 			if ran.Add(1) == 5 {
+				// An error after the cancel is an interruption: neither
+				// counted nor reported as a failed point.
 				cancel()
+				return Result{}, ctx.Err()
 			}
-			return i, nil
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
-		}
-		if !strings.Contains(err.Error(), fmt.Sprintf("of %d jobs", n)) {
-			t.Fatalf("workers=%d: error lacks partial-progress report: %v", workers, err)
-		}
+			return Result{}, nil
+		}, &sink, func(p int, err error) { t.Errorf("workers=%d: point %d failed: %v", workers, p, err) })
 		// Dispatch must stop promptly: only jobs already claimed when the
 		// cancel landed may finish (at most one per worker beyond the 5).
-		if got := ran.Load(); got >= n {
-			t.Fatalf("workers=%d: dispatch did not stop, %d of %d jobs ran", workers, got, n)
+		if got := ran.Load(); got >= n || int64(completed) != got-1 {
+			t.Fatalf("workers=%d: dispatch did not stop: %d of %d jobs ran, %d completed", workers, got, n, completed)
+		}
+		if sink.ended {
+			t.Fatalf("workers=%d: a cancelled sweep ended its table", workers)
 		}
 		cancel()
 	}
 }
 
-func TestMapOrderedCancelledBeforeStart(t *testing.T) {
+// TestStreamCancelInLastJob: a cancel that lands inside the grid's last
+// job leaves no job undone, so the sweep completes in both modes.
+func TestStreamCancelInLastJob(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		d, rps := streamGrid(8)
+		var sink recordSink
+		completed := Stream(ctx, d, rps, []uint64{1}, workers, func(j int) (Result, error) {
+			if j == 7 {
+				cancel()
+			}
+			return Result{}, nil
+		}, &sink, func(p int, err error) { t.Errorf("workers=%d: point %d failed: %v", workers, p, err) })
+		if completed != 8 || len(sink.rows) != 8 || !sink.ended {
+			t.Fatalf("workers=%d: completed %d of 8 jobs, %d rows, ended=%v", workers, completed, len(sink.rows), sink.ended)
+		}
+	}
+}
+
+// TestStreamCancelledBeforeStart: under a cancelled context no job runs,
+// in either mode, and RunSpec reports the cancellation with its progress.
+func TestStreamCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
+		d, rps := streamGrid(10)
 		var ran atomic.Int64
-		_, err := mapOrdered(ctx, 10, workers, func(i int) (int, error) {
+		completed := Stream(ctx, d, rps, []uint64{1}, workers, func(j int) (Result, error) {
 			ran.Add(1)
-			return i, nil
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
+			return Result{}, nil
+		}, &recordSink{}, func(int, error) {})
+		if got := ran.Load(); got != 0 || completed != 0 {
+			t.Fatalf("workers=%d: %d jobs ran, %d completed under a pre-cancelled context", workers, got, completed)
 		}
-		if got := ran.Load(); got != 0 {
-			t.Fatalf("workers=%d: %d jobs ran under a pre-cancelled context", workers, got)
+		spec, err := ParseSpec([]byte(`{"base":{"topology":{"kind":"star"},"workload":[{"kind":"lsg"}]},"sweep":[{"field":"payload","payloads":[64,4096]}],"collect":["lsg_samples"]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunSpecGeneric(spec, Options{Measure: units.Millisecond, Seeds: []uint64{1, 2}, Parallel: workers, Ctx: ctx})
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "after 0 of 4 jobs") {
+			t.Fatalf("workers=%d: want context.Canceled after 0 of 4 jobs, got %v", workers, err)
 		}
 	}
 }

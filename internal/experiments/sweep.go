@@ -10,12 +10,12 @@ import (
 )
 
 // The generic sweep engine: resolve a Spec's axis cross product into an
-// ordered point list, fan the flat point×seed job grid across the parallel
-// runner, reduce per point in seed order, and hand the ordered PointResults
-// to a row-assembly function. Every figure and every JSON-loaded spec runs
-// through this one path; parallel output is byte-identical to sequential
-// because enumeration, reduction and assembly are all sequential in grid
-// order (see runner.go and DESIGN.md).
+// ordered point list, and Stream the flat point×seed job grid through the
+// executor, which reduces per point in seed order and assembles rows.
+// Every figure and every JSON-loaded spec runs through this one path;
+// parallel output is byte-identical to sequential because enumeration,
+// reduction and assembly are all sequential in grid order (see runner.go
+// and DESIGN.md).
 
 // PointResult is one sweep point's outcome: the resolved point, its
 // formatted axis labels (one per sweep axis, in axis order), and its
@@ -70,7 +70,7 @@ func (s Spec) Points() ([]Point, error) {
 }
 
 // Resolve returns the sweep grid with labels, in enumeration order — the
-// job list an external scheduler (the serve package) fans out itself.
+// points a caller of Stream (RunSpec, the serve package) hands it.
 func (s Spec) Resolve() ([]ResolvedPoint, error) {
 	n := 1
 	for a, ax := range s.Sweep {
@@ -230,9 +230,11 @@ func wireBytes(payload, mtu units.ByteSize) units.ByteSize {
 	return payload + segs*ib.MaxHeaderBytes
 }
 
-// RunSpec executes a definition: validate, enumerate, fan the point×seed
-// grid across the worker pool, reduce, assemble. The returned table is a
-// pure function of (definition, options) regardless of Options.Parallel.
+// RunSpec executes a definition: validate, enumerate, then Stream the
+// point×seed grid into a table. The returned table is a pure function of
+// (definition, options) regardless of Options.Parallel. A failed point
+// fails the sweep with the first error Stream reports, a cancelled one
+// with the progress it made.
 func RunSpec(d Definition, opts Options) (*Table, error) {
 	// Reject options no sweep can reduce, with the bounds serve puts on
 	// its query parameters.
@@ -251,32 +253,28 @@ func RunSpec(d Definition, opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	seeds := len(opts.Seeds)
-	results, err := mapOrdered(opts.Ctx, len(rps)*seeds, opts.workers(), func(i int) (Result, error) {
-		return Run(rps[i/seeds].Point, opts, opts.Seeds[i%seeds])
-	})
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]PointResult, len(rps))
-	for i, rp := range rps {
-		pts[i] = PointResult{
-			Point:  rp.Point,
-			Labels: rp.Labels,
-			M:      ReduceSeeds(results[i*seeds : (i+1)*seeds]),
+	seeds := opts.Seeds
+	t := &Table{}
+	var first error
+	completed := Stream(opts.Ctx, d, rps, seeds, opts.workers(), func(j int) (Result, error) {
+		return Run(rps[j/len(seeds)].Point, opts, seeds[j%len(seeds)])
+	}, t, func(_ int, err error) {
+		if first == nil {
+			first = err
 		}
+	})
+	if n := len(rps) * len(seeds); completed < n {
+		return nil, fmt.Errorf("experiments: sweep cancelled after %d of %d jobs: %w", completed, n, opts.ctx().Err())
 	}
-	t := TableShell(d)
-	if err := AssembleInto(t, d, pts); err != nil {
-		return nil, err
+	if first != nil {
+		return nil, first
 	}
 	return t, nil
 }
 
-// TableShell builds the empty table RunSpec would fill for d: identity
-// resolved against the spec, columns defaulted to the generic layout. The
-// serve package emits its meta (and streams rows into it) so a served
-// sweep's header is byte-identical to the CLI's.
+// TableShell builds the empty table a sweep of d fills: identity resolved
+// against the spec, columns defaulted to the generic layout. Stream sends
+// its meta to the sink before any row.
 func TableShell(d Definition) *Table {
 	t := &Table{ID: d.ID, Title: d.Title, Columns: d.Columns, Notes: d.Notes}
 	if t.ID == "" {
@@ -328,11 +326,10 @@ func genericColumns(s Spec) []string {
 	return append(cols, s.Collect...)
 }
 
-// GenericRow renders one point's long-format row: axis labels, then the
-// spec's Collect metrics in order. It is the unit the generic reducer
-// loops over, exported so the serve package can stream rows point by
-// point with the exact bytes a batch run would produce.
-func GenericRow(s Spec, pr PointResult) ([]string, error) {
+// genericRow renders one point's long-format row: axis labels, then the
+// spec's Collect metrics in order. Stream writes it per point as the point
+// completes; the generic reducer loops over it for a whole grid.
+func genericRow(s Spec, pr PointResult) ([]string, error) {
 	row := append([]string(nil), pr.Labels...)
 	for _, name := range s.Collect {
 		cell, err := FormatMetric(name, pr.M)
@@ -348,7 +345,7 @@ func GenericRow(s Spec, pr PointResult) ([]string, error) {
 func genericReduce(s Spec) ReduceFunc {
 	return func(t *Table, pts []PointResult) error {
 		for _, pr := range pts {
-			row, err := GenericRow(s, pr)
+			row, err := genericRow(s, pr)
 			if err != nil {
 				return err
 			}

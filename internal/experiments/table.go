@@ -21,6 +21,19 @@ type Table struct {
 // AddRow appends a row of already-formatted cells.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
+// Begin, Row and End make a Table the Sink that collects a streamed table.
+func (t *Table) Begin(meta TableMeta) error {
+	t.ID, t.Title, t.Columns, t.Notes = meta.ID, meta.Title, meta.Columns, meta.Notes
+	return nil
+}
+
+func (t *Table) Row(cells []string) error {
+	t.AddRow(cells...)
+	return nil
+}
+
+func (t *Table) End() error { return nil }
+
 // String renders an aligned text table.
 func (t *Table) String() string {
 	var b strings.Builder

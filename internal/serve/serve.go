@@ -1,9 +1,9 @@
 // Package serve turns the simulator into a long-lived, crash-safe
 // experiment service: ibsim serve ingests declarative experiment specs
-// (the exact JSON `ibsim run -spec` consumes) over HTTP, schedules the
-// point×seed job grid on a bounded worker pool, and streams the reduced
-// table as JSON lines — byte-identical to `ibsim run -format jsonl` of
-// the same spec.
+// (the exact JSON `ibsim run -spec` consumes) over HTTP, runs the
+// point×seed job grid through the same executor as `ibsim run`
+// (experiments.Stream), and streams the reduced table as JSON lines —
+// byte-identical to `ibsim run -format jsonl` of the same spec.
 //
 // Robustness is the package's reason to exist, not a bolt-on:
 //
@@ -74,12 +74,6 @@ type Config struct {
 	Retry RetryPolicy
 	// Workers sizes each sweep's job pool (default GOMAXPROCS).
 	Workers int
-	// Measure, Warmup, Seeds are the run options used when the request
-	// does not override them via query parameters; they default to the
-	// `ibsim run` defaults (12ms, 3ms, 3 seeds) so a plain POST matches a
-	// plain CLI run.
-	Measure, Warmup time.Duration
-	Seeds           int
 	// Version tags the memo key so checkpoints never survive a model
 	// change (default: the build's VCS revision, else "dev").
 	Version string
@@ -160,18 +154,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Measure <= 0 {
-		cfg.Measure = 12 * time.Millisecond
-	}
-	if cfg.Warmup < 0 {
-		return nil, fmt.Errorf("serve: warmup must be non-negative, got %v", cfg.Warmup)
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 3 * time.Millisecond
-	}
-	if cfg.Seeds <= 0 {
-		cfg.Seeds = 3
 	}
 	if cfg.Version == "" {
 		cfg.Version = buildVersion()
@@ -293,7 +275,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	opts, err := s.runOptions(r)
+	opts, err := runOptions(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -347,39 +329,35 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// runOptions resolves the run options: server defaults overridden by the
-// measure/warmup/seeds query parameters (the same knobs and defaults as
-// `ibsim run`).
-func (s *Server) runOptions(r *http.Request) (experiments.Options, error) {
+// runOptions resolves the run options: the `ibsim run` defaults
+// (experiments.DefaultOptions), overridden by the measure/warmup/seeds
+// query parameters, so a plain POST matches a plain CLI run.
+func runOptions(r *http.Request) (experiments.Options, error) {
 	q := r.URL.Query()
-	measure, warmup, nseeds := s.cfg.Measure, s.cfg.Warmup, s.cfg.Seeds
+	opts := experiments.DefaultOptions()
 	if v := q.Get("measure"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			return experiments.Options{}, fmt.Errorf("serve: query measure %q must be a positive duration", v)
 		}
-		measure = d
+		opts.Measure = units.Duration(d.Nanoseconds()) * units.Nanosecond
 	}
 	if v := q.Get("warmup"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d < 0 {
 			return experiments.Options{}, fmt.Errorf("serve: query warmup %q must be a non-negative duration", v)
 		}
-		warmup = d
+		opts.Warmup = units.Duration(d.Nanoseconds()) * units.Nanosecond
 	}
 	if v := q.Get("seeds"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			return experiments.Options{}, fmt.Errorf("serve: query seeds %q must be a positive integer", v)
 		}
-		nseeds = n
-	}
-	opts := experiments.Options{
-		Measure: units.Duration(measure.Nanoseconds()) * units.Nanosecond,
-		Warmup:  units.Duration(warmup.Nanoseconds()) * units.Nanosecond,
-	}
-	for i := 1; i <= nseeds; i++ {
-		opts.Seeds = append(opts.Seeds, uint64(i))
+		opts.Seeds = nil
+		for i := 1; i <= n; i++ {
+			opts.Seeds = append(opts.Seeds, uint64(i))
+		}
 	}
 	return opts, nil
 }

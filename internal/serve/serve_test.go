@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -524,5 +526,102 @@ func TestServeStatsEndpoint(t *testing.T) {
 		if !strings.Contains(string(body), key) {
 			t.Errorf("stats missing %s:\n%s", key, body)
 		}
+	}
+}
+
+// TestServeErrorLineNamesLowestSeed: a point failing on several seeds
+// names its lowest failed seed, not whichever failure finished first.
+func TestServeErrorLineNamesLowestSeed(t *testing.T) {
+	seed2Failed := make(chan struct{})
+	runner := func(ctx context.Context, p experiments.Point, opts experiments.Options, seed uint64) (experiments.Result, error) {
+		if p.Workload[0].Payload != 1024 {
+			return experiments.Result{Total: 1}, nil
+		}
+		if seed == 2 {
+			defer close(seed2Failed)
+		} else {
+			// Seed 1 fails well after seed 2.
+			select {
+			case <-seed2Failed:
+			case <-ctx.Done():
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+		return experiments.Result{}, Terminal(fmt.Errorf("bad seed %d", seed))
+	}
+	_, ts := newTestServer(t, Config{Workers: 2, Runner: runner})
+	status, body, _ := post(t, ts.URL, testQuery, testSpec)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	lines := strings.Split(strings.TrimSpace(body), "\n")
+	if len(lines) != 3 { // header, point-0 error, point-1 row
+		t.Fatalf("want 3 lines, got %d:\n%s", len(lines), body)
+	}
+	if !strings.Contains(lines[1], `"point":0`) || !strings.Contains(lines[1], `"error":"seed 1: bad seed 1"`) {
+		t.Fatalf("error line does not name point 0's lowest failed seed: %s", lines[1])
+	}
+}
+
+// TestServeStreamsRowsBeforeGridCompletes: a generic-layout row reaches
+// the client as soon as its point completes. Point 1 is parked until the
+// client has read point 0's row, so a server that held rows back would
+// never finish; the client timeout fails the test instead.
+func TestServeStreamsRowsBeforeGridCompletes(t *testing.T) {
+	row0Read := make(chan struct{})
+	runner := func(ctx context.Context, p experiments.Point, opts experiments.Options, seed uint64) (experiments.Result, error) {
+		if p.Workload[0].Payload == 4096 {
+			select {
+			case <-row0Read:
+			case <-ctx.Done():
+				return experiments.Result{}, ctx.Err()
+			}
+		}
+		return experiments.Result{Total: 1}, nil
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/run"+testQuery, "application/json", strings.NewReader(testSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	for _, want := range []string{`"type":"table"`, `"type":"row"`} {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reading the %s line before point 1 completed: %v", want, err)
+		}
+		if !strings.Contains(line, want) {
+			t.Fatalf("want a %s line, got %s", want, line)
+		}
+	}
+	close(row0Read)
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSpace(string(rest)), "\n"); len(lines) != 1 || !strings.Contains(lines[0], `"type":"row"`) {
+		t.Fatalf("want point 1's row to end the stream, got:\n%s", rest)
+	}
+}
+
+// TestRunOptionsDefaultToRun: a request without query parameters runs
+// with `ibsim run`'s defaults, and each parameter overrides its own knob,
+// a zero warmup included.
+func TestRunOptionsDefaultToRun(t *testing.T) {
+	opts, err := runOptions(httptest.NewRequest(http.MethodPost, "/run", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := experiments.DefaultOptions(); !reflect.DeepEqual(opts, want) {
+		t.Fatalf("plain POST runs %+v, want the ibsim run defaults %+v", opts, want)
+	}
+	opts, err = runOptions(httptest.NewRequest(http.MethodPost, "/run?warmup=0", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := experiments.DefaultOptions(); opts.Warmup != 0 || opts.Measure != want.Measure || !reflect.DeepEqual(opts.Seeds, want.Seeds) {
+		t.Fatalf("?warmup=0 runs %+v, want the defaults with no warmup", opts)
 	}
 }

@@ -10,20 +10,20 @@ import (
 	"net/http"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
 )
 
-// Sweep execution. A sweep is the flat point×seed job grid of one spec:
-// jobs dispatch across a worker pool, each runs under the retry/deadline
-// policy with panics contained, completed results journal to the
-// checkpoint, and rows stream to the client in grid order as points
-// finish. The streamed bytes match `ibsim run -format jsonl` of the same
-// spec exactly — header, row order, cell formatting — with one addition:
-// failed points become {"type":"error",...} lines and an interrupted
-// sweep ends with an error trailer instead of silently truncating.
+// Sweep execution. A sweep is the flat point×seed job grid of one spec,
+// run by the same executor as `ibsim run` (experiments.Stream): each job
+// runs under the retry/deadline policy with panics contained, completed
+// results journal to the checkpoint, and rows stream to the client in
+// grid order as points finish. The streamed bytes match `ibsim run -format
+// jsonl` of the same spec exactly — header, row order, cell formatting —
+// with one addition: failed points become {"type":"error",...} lines and
+// an interrupted sweep ends with an error trailer instead of silently
+// truncating.
 
 // jsonlError is the row-level error line. A failed point contributes one
 // of these at the position its row would have occupied; point -1 marks a
@@ -50,17 +50,16 @@ func memoKey(spec experiments.Spec, opts experiments.Options, version string) (s
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// jobResult carries one finished job back to the collector.
-type jobResult struct {
-	job int
-	res experiments.Result
-	err error
-}
+// flushWriter flushes every write through to the client, so each JSONL
+// line — one encoder write — streams as soon as it is written.
+type flushWriter struct{ w http.ResponseWriter }
 
-// pointState tracks one grid point's progress toward emission.
-type pointState struct {
-	done int   // seed jobs accounted for (completed or failed)
-	err  error // first seed failure, if any
+func (f flushWriter) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	if fl, ok := f.w.(http.Flusher); ok {
+		fl.Flush()
+	}
+	return n, err
 }
 
 // runSweep executes one admitted sweep and streams its table to w.
@@ -104,7 +103,7 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec experimen
 		}
 	}
 
-	// dispatchCtx gates claiming new jobs: cancelled by server drain or the
+	// dispatch gates claiming new jobs: cancelled by server drain or the
 	// client going away. jobCtx is what running jobs see: it additionally
 	// survives graceful drain, falling only to the hard-cancel deadline.
 	dispatch, cancelDispatch := mergedContext(r.Context(), s.dispatchCtx)
@@ -112,173 +111,53 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec experimen
 	jobCtx, cancelJobs := mergedContext(r.Context(), s.hardCtx)
 	defer cancelJobs()
 
+	// run serves journaled jobs from memory and runs the rest. A failed
+	// job stays out of the journal so a re-POST retries it; one that fails
+	// after dispatch stopped is an interruption, which Stream does not
+	// count either, and a resume re-runs it.
+	var logMu sync.Mutex // the workers journal concurrently
+	run := func(job int) (experiments.Result, error) {
+		if res, ok := done[job]; ok {
+			return res, nil
+		}
+		res, err := s.runJob(jobCtx, rps[job/nseeds].Point, opts, opts.Seeds[job%nseeds])
+		if err != nil {
+			if dispatch.Err() == nil {
+				s.jobsFailed.Add(1)
+			}
+			return res, err
+		}
+		s.jobsRun.Add(1)
+		logMu.Lock()
+		defer logMu.Unlock()
+		if log != nil && log.append(job, res) != nil {
+			// Journal trouble degrades to recompute-on-resume; the
+			// stream itself is still good.
+			log = nil
+		}
+		return res, nil
+	}
+
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	shell := experiments.TableShell(d)
-	sink := experiments.NewJSONLSink(w)
-	enc := json.NewEncoder(w)
-	sink.Begin(experiments.TableMeta{ID: shell.ID, Title: shell.Title, Columns: shell.Columns, Notes: shell.Notes})
-	flush()
-
-	// Dispatch the missing jobs across the pool. The collector below
-	// drains the results channel to completion, so workers never block on
-	// send even when the sweep aborts early.
-	missing := make([]int, 0, njobs)
-	for i := 0; i < njobs; i++ {
-		if _, ok := done[i]; !ok {
-			missing = append(missing, i)
-		}
-	}
-	results := make(chan jobResult)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := s.cfg.Workers
-	if workers > len(missing) {
-		workers = len(missing)
-	}
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if dispatch.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(missing) {
-					return
-				}
-				job := missing[i]
-				res, err := s.runJob(jobCtx, rps[job/nseeds].Point, opts, opts.Seeds[job%nseeds])
-				results <- jobResult{job: job, res: res, err: err}
+	out := flushWriter{w}
+	enc := json.NewEncoder(out)
+	// No more workers than jobs left to run: a memo replay, with nothing
+	// to simulate, streams on this goroutine instead of starting a pool.
+	workers := min(s.cfg.Workers, njobs-len(done))
+	completed := experiments.Stream(dispatch, d, rps, opts.Seeds, workers, run, experiments.NewJSONLSink(out),
+		func(point int, err error) {
+			var labels []string
+			if point >= 0 {
+				labels = rps[point].Labels
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Collect, journal, and emit in grid order. state tracks per-point
-	// completion; cursor is the next point whose row (or error line) can
-	// stream. Custom-reduce definitions cannot emit until every point is
-	// in (their rows are a function of the whole grid), so those buffer.
-	resByJob := make([]experiments.Result, njobs)
-	state := make([]pointState, len(rps))
-	completed := len(done)
-	for j, res := range done {
-		resByJob[j] = res
-		state[j/nseeds].done++
-	}
-	cursor := 0
-	generic := d.Reduce == nil
-	emitReady := func() {
-		for ; cursor < len(state) && state[cursor].done == nseeds; cursor++ {
-			ps := state[cursor]
-			if ps.err != nil {
-				s.emitError(enc, shell.ID, cursor, rps[cursor].Labels, ps.err)
-				flush()
-				continue
-			}
-			if !generic {
-				continue
-			}
-			pr := experiments.PointResult{
-				Point:  rps[cursor].Point,
-				Labels: rps[cursor].Labels,
-				M:      experiments.ReduceSeeds(resByJob[cursor*nseeds : (cursor+1)*nseeds]),
-			}
-			row, err := experiments.GenericRow(spec, pr)
-			if err != nil {
-				s.emitError(enc, shell.ID, cursor, rps[cursor].Labels, err)
-			} else {
-				sink.Row(row)
-			}
-			flush()
-		}
-	}
-	emitReady()
-	for jr := range results {
-		if jr.err != nil && jobCtx.Err() != nil {
-			// The sweep was cancelled out from under the job; that is an
-			// interruption, not a result. Leave the job un-journaled so a
-			// resume re-runs it.
-			continue
-		}
-		pt := jr.job / nseeds
-		state[pt].done++
-		completed++
-		if jr.err != nil {
-			s.jobsFailed.Add(1)
-			if state[pt].err == nil {
-				state[pt].err = fmt.Errorf("seed %d: %w", opts.Seeds[jr.job%nseeds], jr.err)
-			}
-			// Failed jobs abort the rest of their point's emission but the
-			// grid keeps running: one poisoned point must not starve its
-			// neighbors. They also stay out of the journal so a re-POST
-			// retries them.
-		} else {
-			s.jobsRun.Add(1)
-			resByJob[jr.job] = jr.res
-			if log != nil {
-				if err := log.append(jr.job, jr.res); err != nil {
-					// Journal trouble degrades to recompute-on-resume; the
-					// stream itself is still good.
-					log = nil
-				}
-			}
-		}
-		emitReady()
-	}
-
-	if interrupted := completed < njobs; interrupted {
-		s.emitError(enc, shell.ID, -1, nil, fmt.Errorf(
+			enc.Encode(jsonlError{Type: "error", ID: d.ID, Point: point, Label: labels, Error: err.Error()})
+		})
+	if completed < njobs {
+		enc.Encode(jsonlError{Type: "error", ID: d.ID, Point: -1, Error: fmt.Sprintf(
 			"sweep interrupted after %d of %d jobs (%v); completed jobs are checkpointed — re-POST the spec to resume",
-			completed, njobs, cause(jobCtx, dispatch)))
-		flush()
-		return
+			completed, njobs, cause(jobCtx, dispatch))})
 	}
-	if !generic {
-		anyErr := false
-		for i := range state {
-			if state[i].err != nil {
-				anyErr = true
-			}
-		}
-		// Error lines already streamed from emitReady; rows only render
-		// from a fully successful grid.
-		if !anyErr {
-			pts := make([]experiments.PointResult, len(rps))
-			for i, rp := range rps {
-				pts[i] = experiments.PointResult{
-					Point:  rp.Point,
-					Labels: rp.Labels,
-					M:      experiments.ReduceSeeds(resByJob[i*nseeds : (i+1)*nseeds]),
-				}
-			}
-			if err := experiments.AssembleInto(shell, d, pts); err != nil {
-				s.emitError(enc, shell.ID, -1, nil, err)
-			} else {
-				for _, row := range shell.Rows {
-					sink.Row(row)
-				}
-			}
-		}
-	}
-	sink.End()
-	flush()
-}
-
-// emitError writes one error line. point < 0 marks a sweep-level error.
-func (s *Server) emitError(enc *json.Encoder, id string, point int, labels []string, err error) {
-	enc.Encode(jsonlError{Type: "error", ID: id, Point: point, Label: labels, Error: err.Error()})
 }
 
 // cause picks the most informative cancellation reason.
