@@ -110,10 +110,13 @@ smoke-serve:
 
 # golden regenerates every golden file under internal/experiments/testdata
 # (the fig7a, incast, bigfabric, slicing, fault and loadlatency sweeps, and
-# registry.golden: all registered tables over three seeds) after an
-# intentional model change.
+# registry.golden: all registered tables over three seeds) and
+# internal/topology/testdata/construction.golden (switch names and ports,
+# the link registry and RNG streams of nine fabrics) after an intentional
+# model change.
 golden:
 	$(GO) test ./internal/experiments/ -run 'GoldenFile' -update
+	$(GO) test ./internal/topology/ -run 'ConstructionGolden' -update
 
 # smoke-examples runs every example binary end to end so the walkthroughs
 # cannot silently rot as the API evolves, then validates the committed
