@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race cover bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench golden smoke-examples smoke-specs smoke-serve ci
+.PHONY: all vet build test race bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench golden smoke-examples smoke-specs smoke-serve ci
 
 all: vet build test
 
@@ -12,16 +12,14 @@ vet:
 build:
 	$(GO) build ./...
 
+# test is the plain run of the whole suite, with per-package coverage.
 test:
-	$(GO) test ./...
+	$(GO) test -cover ./...
 
 # race enforces the concurrency contract of the parallel scenario runner
 # (internal/experiments/runner.go): scenario runs share no mutable state.
 race:
 	$(GO) test -race ./...
-
-cover:
-	$(GO) test -cover ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -151,4 +149,4 @@ smoke-specs:
 # ci runs each test once per mode: plain, -race, debugpackets. The focused
 # -race targets above (test-shard, test-faults, test-serve, test-workload)
 # are subsets of race and stay out of ci; they are local shortcuts.
-ci: vet build test race cover test-alloc test-debugpackets test-perfbench smoke-examples smoke-serve
+ci: vet build test race test-alloc test-debugpackets test-perfbench smoke-examples smoke-serve

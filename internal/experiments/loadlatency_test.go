@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/topology"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -232,29 +233,40 @@ func TestLoadLatencySpecRoundTrip(t *testing.T) {
 }
 
 // TestAxisLoadRates pins the load axis arithmetic: at load L with one
-// rate-driven open group, rate_mps = L x link_bytes_per_sec / wire_size.
+// rate-driven open group, rate_mps = L x link_bytes_per_sec / wire_size,
+// where the link is the drain's host link — the profile's cable, or a
+// fat-tree's host_link override.
 func TestAxisLoadRates(t *testing.T) {
-	base := loadLatencyPoint(topology.SpecStar, 5, 0)
-	spec := Spec{
-		Base:    &base,
-		Sweep:   []Axis{{Field: AxisLoad, Loads: []float64{0.5}}},
-		Collect: []string{"offered_gbps"},
-	}
-	rps, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := rps[0].Point.Workload[0].Arrival.RateMps
-	// 56 Gb/s link, 4096 B payload + 52 B header (one segment at MTU 4096).
-	want := 0.5 * 56e9 / 8 / 4148
-	if diff := got/want - 1; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("load 0.5 rewrote rate_mps to %.1f, want %.1f", got, want)
-	}
-	// The base point must be untouched (copy-on-write through the axis).
-	if base.Workload[0].Arrival.RateMps != 1 {
-		t.Errorf("load axis mutated the base point's arrival (rate_mps=%g)", base.Workload[0].Arrival.RateMps)
-	}
-	if fmt.Sprintf("%.2f", 0.5) != rps[0].Labels[0] {
-		t.Errorf("load label %q, want %q", rps[0].Labels[0], strconv.FormatFloat(0.5, 'f', 2, 64))
+	hostLink := model.LinkParams{Bandwidth: 28 * units.Gbps, Propagation: 3 * units.Nanosecond}
+	for _, tc := range []struct {
+		topo topology.Spec
+		bps  float64
+	}{
+		{topology.SpecStar, 56e9},
+		{topology.SpecFatTree(topology.FatTreeSpec{Leaves: 2, HostsPerLeaf: 4, Spines: 1, HostLink: &hostLink}), 28e9},
+	} {
+		base := loadLatencyPoint(tc.topo, 5, 0)
+		spec := Spec{
+			Base:    &base,
+			Sweep:   []Axis{{Field: AxisLoad, Loads: []float64{0.5}}},
+			Collect: []string{"offered_gbps"},
+		}
+		rps, err := spec.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rps[0].Point.Workload[0].Arrival.RateMps
+		// 4096 B payload + 52 B header (one segment at MTU 4096).
+		want := 0.5 * tc.bps / 8 / 4148
+		if diff := got/want - 1; diff > 1e-9 || diff < -1e-9 {
+			t.Errorf("%s: load 0.5 rewrote rate_mps to %.1f, want %.1f (half the %.0f Gb/s host link)", tc.topo.Label(), got, want, tc.bps/1e9)
+		}
+		// The base point must be untouched (copy-on-write through the axis).
+		if base.Workload[0].Arrival.RateMps != 1 {
+			t.Errorf("%s: load axis mutated the base point's arrival (rate_mps=%g)", tc.topo.Label(), base.Workload[0].Arrival.RateMps)
+		}
+		if fmt.Sprintf("%.2f", 0.5) != rps[0].Labels[0] {
+			t.Errorf("%s: load label %q, want %q", tc.topo.Label(), rps[0].Labels[0], strconv.FormatFloat(0.5, 'f', 2, 64))
+		}
 	}
 }

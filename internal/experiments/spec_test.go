@@ -182,6 +182,8 @@ func TestSpecValidationErrors(t *testing.T) {
 			`references workload[1], out of range [0, 1)`},
 		{"tenant double ownership", `{"base":{"topology":{"kind":"star"},"workload":[{"kind":"bsg","count":2,"payload":4096},{"kind":"lsg"}],"tenants":[{"name":"a","promised_gbps":10,"groups":[0,1]},{"name":"b","promised_gbps":10,"groups":[1]}]},"collect":["slice_gbps"]}`,
 			`workload[1] already owned by tenants[0]`},
+		{"fat-tree host link without bandwidth", `{"base":{"topology":{"kind":"fattree","fattree":{"leaves":2,"hosts_per_leaf":2,"spines":1,"host_link":{"bandwidth_bps":0,"propagation_ps":3000}}},"workload":[{"kind":"lsg"}]},"collect":["lsg_p50_us"]}`,
+			`host_link.bandwidth_bps must be positive, got 0`},
 		{"tenant incomplete coverage", `{"base":{"topology":{"kind":"star"},"workload":[{"kind":"bsg","count":2,"payload":4096},{"kind":"lsg"}],"tenants":[{"name":"a","promised_gbps":10,"groups":[0]}]},"collect":["slice_gbps"]}`,
 			`workload[1] is owned by no tenant`},
 	}

@@ -194,7 +194,7 @@ func applyLoad(p *Point, load float64) error {
 		return fmt.Errorf("spec: load axis requires at least one rate-driven open-loop group (%s/%s with a poisson or fixed arrival)",
 			GroupOpenBSG, GroupOpenLSG)
 	}
-	bytesPerSec := float64(fab.Link.Bandwidth) / 8
+	bytesPerSec := float64(p.Topology.HostLink(fab).Bandwidth) / 8
 	gs := make(Workload, len(p.Workload))
 	copy(gs, p.Workload)
 	for i := range gs {

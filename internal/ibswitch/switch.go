@@ -138,15 +138,12 @@ type Port struct {
 	vlMask  uint16
 	departH departHandler
 
-	// Egress. wire is the attached transmitter; lwire is the same object
-	// when it is a local *link.Wire (nil for a cross-shard CrossWire), so
-	// the per-packet Send devirtualizes on the common path. egate/eunres
-	// cache the downstream credit gate and its optional Unreserver half,
-	// resolved once at attach time — pick and unreserve run per packet and
-	// must not pay an interface Gate() call or a type assertion each time.
-	// (lwire/egate/eunres live at the struct tail, below.)
-	wire         link.Tx
-	prop         units.Duration
+	// Egress. wire is the attached transmitter, local or cross-shard.
+	// egate/eunres cache the downstream credit gate and its optional
+	// Unreserver half, resolved once at attach time — pick and unreserve
+	// run per packet and must not pay an interface Gate() call or a type
+	// assertion each time. (egate/eunres live at the struct tail, below.)
+	wire         *link.Wire
 	egressFreeAt units.Time
 	scheduled    *sim.Event // the single pending pick, if any
 	// backlog counts packets queued anywhere in the switch whose route
@@ -162,7 +159,6 @@ type Port struct {
 	elig []candidate
 
 	// Devirtualization caches for the egress (see the wire comment above).
-	lwire  *link.Wire
 	egate  link.Gate
 	eunres link.Unreserver
 }
@@ -372,32 +368,25 @@ func (sw *Switch) SetRoute(node ib.NodeID, port int) {
 	sw.routes[node] = port
 }
 
-// AttachPeer wires port i's egress to a peer endpoint whose ingress credits
-// are controlled by peerGate (nil for an RNIC, which never back-pressures).
+// AttachPeer wires port i's egress to a peer endpoint on this switch's
+// engine whose ingress credits are controlled by peerGate (nil for an
+// RNIC, which never back-pressures).
 func (sw *Switch) AttachPeer(i int, linkPar model.LinkParams, peer link.Endpoint, peerGate link.Gate) {
-	p := sw.ports[i]
-	p.prop = linkPar.Propagation
-	p.lwire = link.NewWire(sw.eng, fmt.Sprintf("%s.p%d", sw.name, i), linkPar.Bandwidth, linkPar.Propagation, peer, peerGate)
-	p.wire = p.lwire
-	p.egate = p.lwire.Gate()
-	p.eunres, _ = p.egate.(link.Unreserver)
-	if rn, ok := peerGate.(link.ReleaseNotifier); ok {
-		// Re-arm this egress whenever the downstream buffer frees space.
-		rn.OnRelease(func() { sw.kick(p) })
-	}
+	sw.AttachWire(i, link.NewWire(sw.eng, fmt.Sprintf("%s.p%d", sw.name, i), linkPar.Bandwidth, linkPar.Propagation, peer, peerGate))
 }
 
-// AttachCross wires port i's egress to a link.CrossWire toward a device on
-// another shard. The wire's sender-side gate re-kicks this egress when
-// mailbox credits land, exactly as a local BufferGate's release hook does.
-func (sw *Switch) AttachCross(i int, w *link.CrossWire) {
+// AttachWire makes w port i's egress wire: a local one, or a cross-shard
+// one toward a device on another shard. Whenever the wire's gate releases
+// credit — a local BufferGate's return, or a CrossSendGate's mailbox
+// credit — the egress re-arms.
+func (sw *Switch) AttachWire(i int, w *link.Wire) {
 	p := sw.ports[i]
-	p.prop = w.Propagation()
 	p.wire = w
-	p.lwire = nil
 	p.egate = w.Gate()
 	p.eunres, _ = p.egate.(link.Unreserver)
-	p.egate.(link.ReleaseNotifier).OnRelease(func() { sw.kick(p) })
+	if rn, ok := p.egate.(link.ReleaseNotifier); ok {
+		rn.OnRelease(func() { sw.kick(p) })
+	}
 }
 
 // SetIngressCross replaces port i's ingress accounting with the receiver
@@ -412,16 +401,9 @@ func (sw *Switch) SetIngressCross(i int, g link.IngressAccounting) {
 // transmitter reserves from it).
 func (sw *Switch) IngressGate(i int) *link.BufferGate { return sw.ports[i].gate }
 
-// EgressWire returns port i's local egress wire (nil when the egress is
-// cross-shard or unattached). The topology layer registers it with the
-// fault controller.
-func (sw *Switch) EgressWire(i int) *link.Wire { return sw.ports[i].lwire }
-
-// EgressCross returns port i's cross-shard egress wire (nil when local).
-func (sw *Switch) EgressCross(i int) *link.CrossWire {
-	cw, _ := sw.ports[i].wire.(*link.CrossWire)
-	return cw
-}
+// EgressWire returns port i's egress wire (nil when unattached). The
+// topology layer registers it with the fault controller.
+func (sw *Switch) EgressWire(i int) *link.Wire { return sw.ports[i].wire }
 
 // Ingress returns the link.Endpoint for packets arriving at port i.
 func (sw *Switch) Ingress(i int) link.Endpoint { return ingress{sw.ports[i]} }
@@ -841,12 +823,7 @@ func (sw *Switch) transmit(out *Port, c candidate, activeInputs int) {
 	if sw.OnForward != nil {
 		sw.OnForward(qp.pkt, qp.arrival, now)
 	}
-	var end units.Time
-	if out.lwire != nil {
-		end = out.lwire.Send(qp.pkt)
-	} else {
-		end = out.wire.Send(qp.pkt)
-	}
+	end := out.wire.Send(qp.pkt)
 	ser := end.Sub(now) // Wire.Send returns injection end (pre-propagation)
 	// Egress rearbitration overhead: the empirical quadratic fit described
 	// in model.SwitchParams. It extends the egress busy period but not the

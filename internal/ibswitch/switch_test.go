@@ -55,6 +55,12 @@ func (h *harness) inject(port int, pkt *ib.Packet) {
 	h.sw.Ingress(port).DeliverArrival(pkt, now, now.Add(units.Serialization(pkt.WireSize(), 56*units.Gbps)))
 }
 
+// waiterFunc adapts a func to link.Waiter: the feeders below block on
+// ingress credit the way an RNIC's send engine does.
+type waiterFunc func()
+
+func (f waiterFunc) CreditGranted() { f() }
+
 func dataTo(dst ib.NodeID, payload units.ByteSize, sl ib.SL) *ib.Packet {
 	return &ib.Packet{Kind: ib.KindData, Verb: ib.VerbWrite, Transport: ib.RC,
 		SrcNode: 99, DestNode: dst, Payload: payload, SL: sl, LastInMsg: true}
@@ -218,11 +224,11 @@ func TestVLArbSharesBandwidthByWeight(t *testing.T) {
 		post = func() {
 			gate := h.sw.IngressGate(port)
 			pkt := dataTo(2, payload, sl)
-			gate.ReserveWhenAvailable(sl2vl(sl), pkt.WireSize(), func() {
+			gate.ReserveForWaiter(sl2vl(sl), pkt.WireSize(), waiterFunc(func() {
 				now := h.eng.Now()
 				h.sw.Ingress(port).DeliverArrival(pkt, now, now)
 				post()
-			})
+			}))
 		}
 		post()
 	}
@@ -266,11 +272,11 @@ func TestArbOverheadActiveInputScaling(t *testing.T) {
 			post = func() {
 				gate := h.sw.IngressGate(p)
 				pkt := dataTo(sink, 4096, 0)
-				gate.ReserveWhenAvailable(0, pkt.WireSize(), func() {
+				gate.ReserveForWaiter(0, pkt.WireSize(), waiterFunc(func() {
 					now := h.eng.Now()
 					h.sw.Ingress(p).DeliverArrival(pkt, now, now)
 					post()
-				})
+				}))
 			}
 			post()
 		}
@@ -370,11 +376,11 @@ func TestVLRateLimitCapsThroughput(t *testing.T) {
 	post = func() {
 		gate := h.sw.IngressGate(0)
 		pkt := dataTo(2, 4096, 0)
-		gate.ReserveWhenAvailable(0, pkt.WireSize(), func() {
+		gate.ReserveForWaiter(0, pkt.WireSize(), waiterFunc(func() {
 			now := h.eng.Now()
 			h.sw.Ingress(0).DeliverArrival(pkt, now, now)
 			post()
-		})
+		}))
 	}
 	post()
 	h.eng.RunUntil(units.Time(2 * units.Millisecond))

@@ -48,11 +48,11 @@ func creditScript(t *testing.T, eager bool) []string {
 					inflight++
 				} else {
 					id := src.Intn(1000)
-					g.ReserveWhenAvailable(0, pkt, func() {
+					g.ReserveForWaiter(0, pkt, waiterFunc(func() {
 						obs("grant %d", id)
 						g.OnArrive(0, pkt)
 						inflight++
-					})
+					}))
 				}
 			case 2: // single departure
 				if inflight > 0 {

@@ -1,19 +1,21 @@
-// Cross-shard wires. A CrossWire is the shard-boundary counterpart of Wire:
-// same serialization resource, same propagation delay, but delivery is routed
-// through the destination shard's mailbox (sim.Chan) instead of being
-// scheduled directly, and the receiving buffer's credit accounting is split
-// into a sender-side window (CrossSendGate) fed by explicit credit messages
-// from the receiver side (CrossRecvGate).
+// Cross-shard links. A cross-shard wire is an ordinary Wire built with a
+// channel (NewCrossWire): same serialization resource, same propagation
+// delay, same fault handling, but its deliveries travel through the
+// destination shard's mailbox (sim.Chan) instead of being scheduled on its
+// own engine. What sets a cross-shard link apart is its gate, not its
+// wire: the receiving buffer's credit accounting is split into a
+// sender-side window (CrossSendGate) fed by explicit credit messages from
+// the receiver side (CrossRecvGate).
 //
 // The split gate is a plain credit window, not a frozen-occupancy BufferGate:
 // across a cut with positive latency the sender cannot observe the receiver's
 // standing occupancy within the lookahead, so the occupancy-targeting model
 // is unimplementable there (and physically implausible — FC updates for a
 // long cable are just credits). The topology layer therefore only ever puts
-// CrossWires on three-tier core links, which no two-tier experiment (and no
-// pre-existing golden) traverses; and it routes core links through the
-// mailbox at EVERY shard count, including 1, so the schedule is a function of
-// the topology, never of the shard grouping.
+// cross-shard wires on three-tier core links, which no two-tier experiment
+// traverses; and it routes core links through the mailbox at EVERY shard
+// count, including 1, so the schedule is a function of the topology, never
+// of the shard grouping.
 package link
 
 import (
@@ -21,17 +23,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/units"
 )
-
-// Tx is the transmitter-facing surface of a wire, local or cross-shard: what
-// a switch egress port needs to inject a packet it holds credits for.
-type Tx interface {
-	// Send begins injecting pkt now and returns the injection end time.
-	Send(pkt *ib.Packet) units.Time
-	// Gate returns the downstream credit gate.
-	Gate() Gate
-	// Bandwidth reports the wire rate.
-	Bandwidth() units.Bandwidth
-}
 
 // IngressAccounting is the occupancy bookkeeping a receiving port drives:
 // OnArrive when a packet has fully landed in the ingress buffer, OnDepart
@@ -58,120 +49,21 @@ type ReleaseNotifier interface {
 
 // Interface conformance of the local fast path (compile-time).
 var (
-	_ Tx                = (*Wire)(nil)
 	_ IngressAccounting = (*BufferGate)(nil)
 	_ Unreserver        = (*BufferGate)(nil)
 	_ ReleaseNotifier   = (*BufferGate)(nil)
 )
 
-// crossDeliver is the destination-shard handler for packet deliveries: the
-// typed target the mailbox event dispatches to. It lives inside the
-// CrossWire but runs on the destination engine.
-type crossDeliver struct {
-	peer Endpoint
-}
-
-// HandleEvent delivers a mailbox-inserted arrival. Payload mirrors
-// Wire.HandleEvent: Ptr = packet, T0 = first bit, T1 = last bit.
-func (d *crossDeliver) HandleEvent(ev *sim.Event) {
-	d.peer.DeliverArrival(ev.Ptr.(*ib.Packet), ev.T0, ev.T1)
-}
-
-// CrossWire is one direction of a cable whose endpoints live on different
-// shards (or on one shard via a self-loop channel — the code path is
-// identical, which is what keeps results shard-count-independent).
-type CrossWire struct {
-	eng    *sim.Engine // the SENDING shard's engine
-	ch     *sim.Chan   // data channel toward the receiving shard
-	bw     units.Bandwidth
-	prop   units.Duration
-	gate   *CrossSendGate
-	freeAt units.Time
-	name   string
-	// memoSize/memoSer: same single-size serialization memo as Wire.
-	memoSize units.ByteSize
-	memoSer  units.Duration
-	recv     crossDeliver
-	// faults is nil unless the run's spec declares faults on this wire;
-	// dropRecv is the alternate mailbox target a dropped packet dispatches
-	// to on the receiving shard (see faults.go).
-	faults   *Faults
-	dropRecv crossDrop
-}
-
-// NewCrossWire builds a cross-shard wire toward peer. ch must be a channel
-// from the sender's shard to the receiver's, with a latency floor no larger
-// than prop (Send schedules the first bit at now+prop). gate is the
-// sender-side credit window; the matching CrossRecvGate is built separately
-// on the receiving shard (see NewCrossRecvGate).
-func NewCrossWire(eng *sim.Engine, name string, bw units.Bandwidth, prop units.Duration, ch *sim.Chan, peer Endpoint, gate *CrossSendGate) *CrossWire {
-	return &CrossWire{eng: eng, ch: ch, bw: bw, prop: prop, gate: gate, name: name, recv: crossDeliver{peer: peer}}
-}
-
-// Gate returns the sender-side credit gate.
-func (w *CrossWire) Gate() Gate { return w.gate }
-
-// FreeAt reports when the wire finishes its current transmission.
-func (w *CrossWire) FreeAt() units.Time { return w.freeAt }
-
-// Bandwidth reports the wire rate.
-func (w *CrossWire) Bandwidth() units.Bandwidth { return w.bw }
-
-// Propagation reports the cable delay (the cut's lookahead contribution).
-func (w *CrossWire) Propagation() units.Duration { return w.prop }
-
-// Name returns the wire's diagnostic name.
-func (w *CrossWire) Name() string { return w.name }
-
-// InstallFaults attaches fault state to the wire. rgate, when non-nil, is
-// the receiving shard's half of the split credit window: a dropped packet's
-// credits are unwound through it (arrival + instant departure), so the
-// credit-return message still flows back to the sender. Called once, at
-// fault-schedule install time, never on fault-free runs.
-func (w *CrossWire) InstallFaults(f *Faults, rgate *CrossRecvGate) {
-	w.faults = f
-	w.dropRecv = crossDrop{f: f, rgate: rgate}
-}
-
-// FaultState returns the installed fault state (nil on fault-free runs).
-func (w *CrossWire) FaultState() *Faults { return w.faults }
-
-// Send begins injecting pkt now; the delivery is enqueued into the peer
-// shard's mailbox for the epoch containing now+prop. Timing is identical to
-// Wire.Send — only the scheduling mechanism differs.
-func (w *CrossWire) Send(pkt *ib.Packet) units.Time {
-	ib.AssertLive(pkt)
-	now := w.eng.Now()
-	if now < w.freeAt {
-		invariant(w.eng, w.name, "overlapping Send at %v, busy until %v", now, w.freeAt)
-	}
-	ser := w.memoSer
-	if size := pkt.WireSize(); size != w.memoSize {
-		ser = units.Serialization(size, w.bw)
-		w.memoSize, w.memoSer = size, ser
-	}
-	drop := false
-	if f := w.faults; f != nil {
-		if now < f.DownUntil {
-			invariant(w.eng, w.name, "Send on a downed link (down until %v)", f.DownUntil)
-		}
-		ser = f.stretch(ser, now) // degraded rate bypasses the memo
-		drop = f.drawDrop()
-	}
-	w.freeAt = now.Add(ser)
-	start := now.Add(w.prop)
-	end := w.freeAt.Add(w.prop)
-	// A dropped packet still traverses the mailbox (the channel's message
-	// sequence must be independent of fault outcomes) but dispatches to the
-	// drop handler instead of the deliverer.
-	if drop {
-		m := w.ch.Send(start, "xwire:drop", &w.dropRecv)
-		m.Ptr, m.T0, m.T1 = pkt, start, end
-		return w.freeAt
-	}
-	m := w.ch.Send(start, "xwire:deliver", &w.recv)
-	m.Ptr, m.T0, m.T1 = pkt, start, end
-	return w.freeAt
+// NewCrossWire builds a cross-shard wire toward peer: a Wire whose
+// deliveries travel through ch. ch must be a channel from the sender's
+// shard to the receiver's, with a latency floor no larger than prop (Send
+// schedules the first bit at now+prop). gate is the sender-side credit
+// window; the matching CrossRecvGate is built separately on the receiving
+// shard (see NewCrossRecvGate).
+func NewCrossWire(eng *sim.Engine, name string, bw units.Bandwidth, prop units.Duration, ch *sim.Chan, peer Endpoint, gate *CrossSendGate) *Wire {
+	w := NewWire(eng, name, bw, prop, peer, gate)
+	w.ch = ch
+	return w
 }
 
 // xvlSend is the sender-side credit state of one VL of a cross-shard link.
@@ -222,7 +114,7 @@ func (s *xvlSend) grantWaiters() {
 		n := copy(s.waiters, s.waiters[1:])
 		s.waiters[n] = waiter{}
 		s.waiters = s.waiters[:n]
-		wt.grant()
+		wt.w.CreditGranted()
 	}
 }
 
@@ -236,25 +128,16 @@ func (g *CrossSendGate) TryReserve(vl ib.VL, bytes units.ByteSize) bool {
 	return true
 }
 
-// ReserveWhenAvailable implements Gate.
-func (g *CrossSendGate) ReserveWhenAvailable(vl ib.VL, bytes units.ByteSize, fn func()) {
-	g.reserveQueued(vl, waiter{bytes: bytes, fn: fn})
-}
-
 // ReserveForWaiter implements Gate.
 func (g *CrossSendGate) ReserveForWaiter(vl ib.VL, bytes units.ByteSize, w Waiter) {
-	g.reserveQueued(vl, waiter{bytes: bytes, w: w})
-}
-
-func (g *CrossSendGate) reserveQueued(vl ib.VL, wt waiter) {
 	s := &g.vls[vl]
-	if len(s.waiters) == 0 && s.avail >= wt.bytes {
-		s.take(wt.bytes)
-		wt.grant()
+	if len(s.waiters) == 0 && s.avail >= bytes {
+		s.take(bytes)
+		w.CreditGranted()
 		return
 	}
 	s.hadWaiters = true
-	s.waiters = append(s.waiters, wt)
+	s.waiters = append(s.waiters, waiter{bytes: bytes, w: w})
 }
 
 // Unreserve returns a losing arbitration candidate's reservation. Hooks are

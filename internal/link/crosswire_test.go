@@ -8,13 +8,14 @@ import (
 	"repro/internal/units"
 )
 
-// xfix is a CrossWire test fixture: sender and receiver shards joined by a
-// data channel and a credit back-channel, with the split gate installed.
+// xfix is a cross-shard wire test fixture: sender and receiver shards
+// joined by a data channel and a credit back-channel, with the split gate
+// installed.
 type xfix struct {
 	coord *sim.Coordinator
 	src   *sim.Engine
 	dst   *capture
-	wire  *CrossWire
+	wire  *Wire
 	sgate *CrossSendGate
 	rgate *CrossRecvGate
 }
@@ -78,7 +79,7 @@ func TestCrossGateCreditRoundTrip(t *testing.T) {
 			t.Fatalf("shards=%d: avail = %d, want %d", shards, got, window-200)
 		}
 		granted := false
-		f.sgate.ReserveWhenAvailable(0, 200, func() { granted = true })
+		f.sgate.ReserveForWaiter(0, 200, waiterFunc(func() { granted = true }))
 		// Simulate the packet's life on the receiving shard: arrival, then a
 		// departure that triggers the credit return.
 		recv := f.coord.Shard(shards - 1).Eng

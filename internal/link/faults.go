@@ -8,7 +8,7 @@
 // # Determinism contract
 //
 // Fault state is attached AFTER construction and only on runs whose spec
-// declares faults, through a nil-checked pointer on Wire/CrossWire: a
+// declares faults, through a nil-checked pointer on Wire: a
 // fault-free run takes only dead branches, draws nothing from any RNG, and
 // stays byte-identical to pre-fault builds. Drop decisions are drawn at
 // SEND time from a per-wire stream split off the scenario root by wire
@@ -23,6 +23,9 @@
 // delivered. Credit-wise the drop behaves as an arrival followed by an
 // immediate departure, so the sender's reserved bytes flow back through the
 // normal credit-return path and losslessness bookkeeping stays conserved.
+// That path is the receiving port's BufferGate on a local link and the
+// link's CrossRecvGate on a cross-shard one, whose credit message then
+// crosses back to the sending shard.
 // The packet's buffer is intentionally NOT returned to the packet pool:
 // drops are rare, pools are per-shard, and a cross-shard drop would
 // otherwise hand a sender-owned buffer to the receiving shard's pool.
@@ -56,7 +59,7 @@ type Faults struct {
 	DownUntil units.Time
 
 	// acct is the receiving port's ingress accounting, used to unwind a
-	// local-wire drop's credit reservation (nil when the receiver never
+	// drop's credit reservation (nil when the receiver never
 	// back-pressures, e.g. an RNIC RX pipeline).
 	acct IngressAccounting
 
@@ -103,34 +106,14 @@ func (f *Faults) drawDrop() bool {
 	return f.dropRNG.Float64() < f.dropProb
 }
 
-// dropArrived consumes a local-wire drop at the receiver: count it and
-// unwind the sender's credit reservation as an arrival + instant departure.
+// dropArrived consumes a drop on the receiving engine: count it and unwind
+// the sender's credit reservation as an arrival + instant departure.
 func (f *Faults) dropArrived(pkt *ib.Packet) {
 	f.Drops++
 	if f.acct != nil {
 		size := pkt.WireSize()
 		f.acct.OnArrive(pkt.VL, size)
 		f.acct.OnDepart(pkt.VL, size)
-	}
-}
-
-// crossDrop is the destination-shard handler for cross-wire drops: the
-// mailbox message still travels (preserving channel sequence numbers), but
-// dispatches here instead of crossDeliver. Runs on the RECEIVING engine;
-// the credit unwind goes back through the CrossRecvGate's normal return
-// channel.
-type crossDrop struct {
-	f     *Faults
-	rgate *CrossRecvGate
-}
-
-func (d *crossDrop) HandleEvent(ev *sim.Event) {
-	pkt := ev.Ptr.(*ib.Packet)
-	d.f.Drops++
-	if d.rgate != nil {
-		size := pkt.WireSize()
-		d.rgate.OnArrive(pkt.VL, size)
-		d.rgate.OnDepart(pkt.VL, size)
 	}
 }
 

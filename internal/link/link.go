@@ -43,10 +43,9 @@ type Endpoint interface {
 	DeliverArrival(pkt *ib.Packet, arriveStart, arriveEnd units.Time)
 }
 
-// Waiter is notified when a blocked reservation is granted. It is the
-// allocation-free counterpart of ReserveWhenAvailable's closure: a
-// transmitter that blocks on credits registers itself (a long-lived object)
-// instead of capturing a per-packet closure.
+// Waiter is notified when a blocked reservation is granted. A transmitter
+// that blocks on credits registers itself (a long-lived object), so the
+// reservation path allocates nothing per packet.
 type Waiter interface {
 	CreditGranted()
 }
@@ -55,12 +54,8 @@ type Waiter interface {
 type Gate interface {
 	// TryReserve takes bytes of credit for vl if available.
 	TryReserve(vl ib.VL, bytes units.ByteSize) bool
-	// ReserveWhenAvailable runs fn once bytes of credit for vl have been
-	// reserved on the caller's behalf. Callbacks are FIFO per VL.
-	ReserveWhenAvailable(vl ib.VL, bytes units.ByteSize, fn func())
-	// ReserveForWaiter is ReserveWhenAvailable without the closure: w is
-	// notified once the bytes have been reserved. Waiters and closures
-	// share one FIFO per VL.
+	// ReserveForWaiter notifies w once bytes of credit for vl have been
+	// reserved on its behalf. Waiters are served FIFO per VL.
 	ReserveForWaiter(vl ib.VL, bytes units.ByteSize, w Waiter)
 }
 
@@ -72,17 +67,17 @@ type Unlimited struct{}
 // TryReserve always succeeds.
 func (Unlimited) TryReserve(ib.VL, units.ByteSize) bool { return true }
 
-// ReserveWhenAvailable runs fn immediately.
-func (Unlimited) ReserveWhenAvailable(_ ib.VL, _ units.ByteSize, fn func()) { fn() }
-
 // ReserveForWaiter notifies w immediately.
 func (Unlimited) ReserveForWaiter(_ ib.VL, _ units.ByteSize, w Waiter) { w.CreditGranted() }
 
 // Wire is one direction of a cable: a serialization resource owned by its
 // transmitter plus a propagation delay. Transmitters must serialize their
 // own access (Send panics on overlapping use, catching scheduler bugs).
+// A cross-shard wire (NewCrossWire) differs only in how a delivery reaches
+// the receiving engine: through its channel instead of its own engine.
 type Wire struct {
-	eng    *sim.Engine
+	eng    *sim.Engine // the sending engine
+	ch     *sim.Chan   // nil on a local wire
 	bw     units.Bandwidth
 	prop   units.Duration
 	peer   Endpoint
@@ -117,9 +112,9 @@ func (w *Wire) Name() string { return w.name }
 
 // InstallFaults attaches fault state to the wire. acct, when non-nil, is
 // the receiving port's ingress accounting, used to unwind the credit
-// reservation of a dropped packet (pass the same accounting object the
-// receiving port drives). Called once, at fault-schedule install time,
-// never on fault-free runs.
+// reservation of a dropped packet: the port's BufferGate on a local link,
+// the link's CrossRecvGate on a cross-shard one. Called once, at
+// fault-schedule install time, never on fault-free runs.
 func (w *Wire) InstallFaults(f *Faults, acct IngressAccounting) {
 	f.acct = acct
 	w.faults = f
@@ -130,9 +125,6 @@ func (w *Wire) FaultState() *Faults { return w.faults }
 
 // FreeAt reports when the wire finishes its current transmission.
 func (w *Wire) FreeAt() units.Time { return w.freeAt }
-
-// Bandwidth reports the wire rate.
-func (w *Wire) Bandwidth() units.Bandwidth { return w.bw }
 
 // Send begins injecting pkt now. The caller must have reserved downstream
 // credits and ensured the wire is free. It returns the injection end time
@@ -148,13 +140,15 @@ func (w *Wire) Send(pkt *ib.Packet) units.Time {
 		ser = units.Serialization(size, w.bw)
 		w.memoSize, w.memoSer = size, ser
 	}
-	drop := false
+	var drop int64 // the event's A: 1 marks a fault-injected drop
 	if f := w.faults; f != nil {
 		if now < f.DownUntil {
 			invariant(w.eng, w.name, "Send on a downed link (down until %v)", f.DownUntil)
 		}
 		ser = f.stretch(ser, now) // degraded rate bypasses the memo
-		drop = f.drawDrop()
+		if f.drawDrop() {
+			drop = 1
+		}
 	}
 	w.freeAt = now.Add(ser)
 	start := now.Add(w.prop)
@@ -165,19 +159,25 @@ func (w *Wire) Send(pkt *ib.Packet) units.Time {
 	// port runs at the same rate, an egress that starts after
 	// start+BaseLatency can never outrun the still-arriving tail.
 	// Scheduled as a typed event — a closure here would be one heap
-	// allocation per packet per hop.
-	ev := w.eng.AtEvent(start, "link:deliver", w)
-	ev.Ptr, ev.T0, ev.T1 = pkt, start, end
-	if drop {
-		ev.A = 1
+	// allocation per packet per hop. A cross-shard delivery goes into the
+	// receiving shard's mailbox for the epoch containing start; a drop
+	// travels too, so the channel's message sequence does not depend on
+	// fault outcomes.
+	if w.ch != nil {
+		m := w.ch.Send(start, "xwire:deliver", w)
+		m.Ptr, m.T0, m.T1, m.A = pkt, start, end, drop
+		return w.freeAt
 	}
+	ev := w.eng.AtEvent(start, "link:deliver", w)
+	ev.Ptr, ev.T0, ev.T1, ev.A = pkt, start, end, drop
 	return w.freeAt
 }
 
-// HandleEvent delivers a scheduled arrival (the typed form of the old
-// per-packet delivery closure). Payload: Ptr = packet, T0 = first bit at
-// the receiver, T1 = last bit; A = 1 marks a fault-injected drop, consumed
-// at the receiver so the wire occupancy and credit flow stay physical.
+// HandleEvent delivers a scheduled arrival on the receiving engine (the
+// typed form of the old per-packet delivery closure). Payload: Ptr =
+// packet, T0 = first bit at the receiver, T1 = last bit; A = 1 marks a
+// fault-injected drop, consumed at the receiver so the wire occupancy and
+// credit flow stay physical.
 func (w *Wire) HandleEvent(ev *sim.Event) {
 	if ev.A != 0 {
 		w.faults.dropArrived(ev.Ptr.(*ib.Packet))
@@ -186,20 +186,10 @@ func (w *Wire) HandleEvent(ev *sim.Event) {
 	w.peer.DeliverArrival(ev.Ptr.(*ib.Packet), ev.T0, ev.T1)
 }
 
-// waiter is one queued reservation: either a closure (fn) or a Waiter (w).
+// waiter is one queued reservation.
 type waiter struct {
 	bytes units.ByteSize
-	fn    func()
 	w     Waiter
-}
-
-// grant notifies the blocked transmitter that its bytes are reserved.
-func (wt waiter) grant() {
-	if wt.w != nil {
-		wt.w.CreditGranted()
-		return
-	}
-	wt.fn()
 }
 
 type vlState struct {
@@ -330,7 +320,7 @@ func (s *vlState) takeAvail(bytes units.ByteSize) {
 // once per packet.
 func (s *vlState) popWaiter() {
 	n := copy(s.waiters, s.waiters[1:])
-	s.waiters[n] = waiter{} // drop the closure/waiter references
+	s.waiters[n] = waiter{} // drop the waiter reference
 	s.waiters = s.waiters[:n]
 }
 
@@ -343,7 +333,7 @@ func (s *vlState) grantWaiters() {
 		}
 		s.takeAvail(wt.bytes)
 		s.popWaiter()
-		wt.grant()
+		wt.w.CreditGranted()
 	}
 }
 
@@ -371,26 +361,17 @@ func (g *BufferGate) TryReserve(vl ib.VL, bytes units.ByteSize) bool {
 	return true
 }
 
-// ReserveWhenAvailable implements Gate.
-func (g *BufferGate) ReserveWhenAvailable(vl ib.VL, bytes units.ByteSize, fn func()) {
-	g.reserveQueued(vl, waiter{bytes: bytes, fn: fn})
-}
-
-// ReserveForWaiter implements Gate (the zero-allocation reservation path).
+// ReserveForWaiter implements Gate.
 func (g *BufferGate) ReserveForWaiter(vl ib.VL, bytes units.ByteSize, w Waiter) {
-	g.reserveQueued(vl, waiter{bytes: bytes, w: w})
-}
-
-func (g *BufferGate) reserveQueued(vl ib.VL, wt waiter) {
 	s := &g.vls[vl]
-	if len(s.waiters) == 0 && s.avail >= wt.bytes {
-		s.takeAvail(wt.bytes)
-		wt.grant()
+	if len(s.waiters) == 0 && s.avail >= bytes {
+		s.takeAvail(bytes)
+		w.CreditGranted()
 		return
 	}
 	s.minAvail = 0 // a queued waiter means the sender is credit-limited
 	s.hadWaiters = true
-	s.waiters = append(s.waiters, wt)
+	s.waiters = append(s.waiters, waiter{bytes: bytes, w: w})
 }
 
 // Unreserve returns a reservation that will not be used (an arbitration
@@ -400,8 +381,8 @@ func (g *BufferGate) reserveQueued(vl ib.VL, wt waiter) {
 // Unlike scheduleRelease, Unreserve deliberately does NOT fire the
 // onRelease hooks, and under the current wiring that is safe. Each gate
 // guards one ingress buffer fed by exactly one transmitter. Gates whose
-// transmitter is an RNIC (the only users of ReserveWhenAvailable, hence
-// the only gates with waiters) never see Unreserve, because RNIC egress is
+// transmitter is an RNIC (the only users of ReserveForWaiter, hence the
+// only gates with waiters) never see Unreserve, because RNIC egress is
 // a wire, not an arbiter. Gates whose transmitter is a switch egress port
 // see Unreserve only from that port's own pick(): the pick always ends by
 // transmitting the winning candidate, which re-schedules the same port's

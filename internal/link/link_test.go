@@ -1,6 +1,7 @@
 package link
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -77,9 +78,9 @@ func TestUnlimitedGate(t *testing.T) {
 		t.Fatal("unlimited gate refused")
 	}
 	ran := false
-	g.ReserveWhenAvailable(0, 1<<40, func() { ran = true })
+	g.ReserveForWaiter(0, 1<<40, waiterFunc(func() { ran = true }))
 	if !ran {
-		t.Fatal("unlimited gate did not run callback immediately")
+		t.Fatal("unlimited gate did not grant the waiter immediately")
 	}
 }
 
@@ -97,7 +98,7 @@ func TestGateReserveAndRelease(t *testing.T) {
 		t.Fatal("over-reserve succeeded")
 	}
 	woke := false
-	g.ReserveWhenAvailable(0, 600, func() { woke = true })
+	g.ReserveForWaiter(0, 600, waiterFunc(func() { woke = true }))
 	// Packet arrives and departs; headroom opens because the flow is not
 	// oversubscribed (no rate estimates yet -> target = window).
 	g.OnArrive(0, 600)
@@ -115,8 +116,8 @@ func TestGateWaitersFIFO(t *testing.T) {
 		t.Fatal("reserve failed")
 	}
 	var order []int
-	g.ReserveWhenAvailable(0, 400, func() { order = append(order, 1) })
-	g.ReserveWhenAvailable(0, 400, func() { order = append(order, 2) })
+	g.ReserveForWaiter(0, 400, waiterFunc(func() { order = append(order, 1) }))
+	g.ReserveForWaiter(0, 400, waiterFunc(func() { order = append(order, 2) }))
 	g.OnArrive(0, 1000)
 	g.OnDepart(0, 1000)
 	eng.Run()
@@ -129,7 +130,7 @@ func TestGateTryReserveRespectsWaiters(t *testing.T) {
 	eng := sim.New()
 	g := newGate(eng, 1000)
 	g.TryReserve(0, 900)
-	g.ReserveWhenAvailable(0, 500, func() {})
+	g.ReserveForWaiter(0, 500, waiterFunc(func() {}))
 	// 100 bytes are free but a waiter queues ahead: FIFO order demands
 	// TryReserve fail even for a small request.
 	if g.TryReserve(0, 50) {
@@ -213,7 +214,7 @@ func driveFlow(t *testing.T, window units.ByteSize, pkt units.ByteSize, senderPe
 
 	var send func()
 	send = func() {
-		g.ReserveWhenAvailable(0, pkt, func() {
+		g.ReserveForWaiter(0, pkt, waiterFunc(func() {
 			// Model sender pacing: next injection no sooner than period.
 			eng.After(senderPeriod, "inject", func() {
 				g.OnArrive(0, pkt)
@@ -224,7 +225,7 @@ func driveFlow(t *testing.T, window units.ByteSize, pkt units.ByteSize, senderPe
 				}
 				send()
 			})
-		})
+		}))
 	}
 	send()
 	eng.RunUntil(units.Time(6 * units.Millisecond))
@@ -331,7 +332,7 @@ func TestStoppedSenderPeakReWindows(t *testing.T) {
 		if eng.Now() >= stop {
 			return
 		}
-		g.ReserveWhenAvailable(0, pkt, func() {
+		g.ReserveForWaiter(0, pkt, waiterFunc(func() {
 			eng.After(period(), "inject", func() {
 				g.OnArrive(0, pkt)
 				inBuf += pkt
@@ -341,7 +342,7 @@ func TestStoppedSenderPeakReWindows(t *testing.T) {
 				}
 				send()
 			})
-		})
+		}))
 	}
 	send()
 	eng.RunUntil(stop)
@@ -374,23 +375,22 @@ func TestUnlimitedGateWaiter(t *testing.T) {
 	}
 }
 
-// Waiter-interface and closure reservations share one FIFO per VL, in
-// strict arrival order.
-func TestGateWaiterAndClosureShareFIFO(t *testing.T) {
+// Queued waiters share one FIFO per VL, in strict arrival order.
+func TestGateWaitersShareFIFO(t *testing.T) {
 	eng := sim.New()
 	g := newGate(eng, 1000)
 	if !g.TryReserve(0, 1000) {
 		t.Fatal("reserve failed")
 	}
 	var order []string
-	g.ReserveWhenAvailable(0, 300, func() { order = append(order, "fn1") })
-	g.ReserveForWaiter(0, 300, waiterFunc(func() { order = append(order, "w") }))
-	g.ReserveWhenAvailable(0, 300, func() { order = append(order, "fn2") })
+	for _, name := range []string{"w1", "w2", "w3"} {
+		g.ReserveForWaiter(0, 300, waiterFunc(func() { order = append(order, name) }))
+	}
 	g.OnArrive(0, 1000)
 	g.OnDepart(0, 1000)
 	eng.Run()
-	if len(order) != 3 || order[0] != "fn1" || order[1] != "w" || order[2] != "fn2" {
-		t.Fatalf("grant order = %v, want [fn1 w fn2]", order)
+	if got := fmt.Sprint(order); got != "[w1 w2 w3]" {
+		t.Fatalf("grant order = %s, want [w1 w2 w3]", got)
 	}
 }
 
@@ -399,8 +399,7 @@ type waiterFunc func()
 
 func (f waiterFunc) CreditGranted() { f() }
 
-// The waiter path must grant immediately when credit is on hand, exactly
-// like the closure path.
+// The waiter path must grant immediately when credit is on hand.
 func TestGateWaiterImmediateGrant(t *testing.T) {
 	eng := sim.New()
 	g := newGate(eng, 1000)
@@ -426,7 +425,7 @@ func TestUnreserveOnWaitedVLPanics(t *testing.T) {
 	}
 	// Exhaust the window so the next reservation queues: the VL now has
 	// (and latches) waiters, marking the gate RNIC-fed.
-	g.ReserveWhenAvailable(0, 400, func() {})
+	g.ReserveForWaiter(0, 400, waiterFunc(func() {}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Unreserve on a VL with queued waiters did not panic")

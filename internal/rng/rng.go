@@ -23,7 +23,12 @@ func New(seed uint64) *Source {
 }
 
 // Split derives an independent child stream. The label keeps children of the
-// same parent distinct and makes derivation order-independent.
+// same parent distinct. Derivation is NOT order-independent: Split draws
+// from the parent, so the child of a label depends on how many splits (and
+// draws) the parent served before it, and adding or moving one split
+// reseeds every later child. Callers that must not shift when unrelated
+// components are added derive from a fresh New(seed) instead (the open-loop
+// arrival streams do), and fabric construction keeps its order fixed.
 func (s *Source) Split(label string) *Source {
 	h := uint64(14695981039346656037) // FNV-64 offset basis
 	for i := 0; i < len(label); i++ {

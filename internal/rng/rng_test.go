@@ -44,6 +44,18 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestSplitAdvancesParent pins Split's order dependence: the child of "b"
+// differs when "a" was split from the same parent first, because Split
+// draws from its parent.
+func TestSplitAdvancesParent(t *testing.T) {
+	alone := New(7).Split("b").Uint64()
+	p := New(7)
+	p.Split("a")
+	if after := p.Split("b").Uint64(); after == alone {
+		t.Fatal(`the child of "b" did not change when "a" was split first`)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	s := New(3)
 	for i := 0; i < 10000; i++ {

@@ -1,19 +1,23 @@
-// Two-layer fat-tree fabric generation (the construction of Solnushkin's
-// "Automated Design of Two-Layer Fat-Tree Networks" specialized to the
-// paper's hardware): a row of leaf switches with hosts below and a row of
-// spine switches above, every leaf connected to every spine by a
-// configurable number of parallel trunks. Star and TwoTier are thin
-// wrappers over the same builder, so every topology shares one wiring and
-// routing derivation.
+// Fat-tree fabric generation (the construction of Solnushkin's "Automated
+// Design of Two-Layer Fat-Tree Networks" specialized to the paper's
+// hardware): a row of leaf switches with hosts below and a row of spine
+// switches above, every leaf connected to every spine by a configurable
+// number of parallel trunks — the two-layer block — used once, or copied
+// into pods under a layer of core switches (fattree3.go). One builder
+// (Cluster.build) wires and routes every shape at every tier count and
+// shard count: Star and TwoTier pass it their legacy leaf names, FatTree a
+// spec, FatTree3 a spec and a partition plan.
 package topology
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/ib"
 	"repro/internal/ibswitch"
 	"repro/internal/link"
 	"repro/internal/model"
+	"repro/internal/sim"
 )
 
 // FatTreeSpec configures the fabric generator. The JSON form is part of
@@ -108,6 +112,12 @@ func (s FatTreeSpec) Validate() error {
 	if s.Spines < 0 || s.Trunks < 1 {
 		return fmt.Errorf("topology: fat-tree spine/trunk counts must be non-negative (spines=%d trunks=%d)", s.Spines, s.Trunks)
 	}
+	if err := validateLink("host_link", s.HostLink); err != nil {
+		return err
+	}
+	if err := validateLink("trunk_link", s.TrunkLink); err != nil {
+		return err
+	}
 	if s.Tiers == 3 {
 		return s.validateThreeTier()
 	}
@@ -127,6 +137,21 @@ func (s FatTreeSpec) Validate() error {
 	return nil
 }
 
+// validateLink rejects cable parameters no wire can run: a non-positive
+// bandwidth or a negative propagation delay. field is the JSON name of the
+// override (nil = the fabric default, always valid).
+func validateLink(field string, lk *model.LinkParams) error {
+	switch {
+	case lk == nil:
+		return nil
+	case lk.Bandwidth <= 0:
+		return fmt.Errorf("topology: %s.bandwidth_bps must be positive, got %d", field, int64(lk.Bandwidth))
+	case lk.Propagation < 0:
+		return fmt.Errorf("topology: %s.propagation_ps must not be negative, got %d", field, int64(lk.Propagation))
+	}
+	return nil
+}
+
 // validateThreeTier checks the pod/core structure; the caller has already
 // applied defaults and validated the leaf-layer fields.
 func (s FatTreeSpec) validateThreeTier() error {
@@ -138,6 +163,12 @@ func (s FatTreeSpec) validateThreeTier() error {
 	}
 	if s.Cores < 1 || s.CoreTrunks < 1 {
 		return fmt.Errorf("topology: three-tier core counts must be positive (cores=%d core_trunks=%d)", s.Cores, s.CoreTrunks)
+	}
+	if err := validateLink("core_link", s.CoreLink); err != nil {
+		return err
+	}
+	if s.CoreLink != nil && s.CoreLink.Propagation <= 0 {
+		return fmt.Errorf("topology: core_link.propagation_ps must be positive (it is the conservative lookahead of a sharded run), got %d", int64(s.CoreLink.Propagation))
 	}
 	if s.MaxPorts > 0 {
 		if r := s.HostsPerLeaf + s.Spines*s.Trunks; r > s.MaxPorts {
@@ -196,19 +227,8 @@ func FatTree(par model.FabricParams, spec FatTreeSpec, seed uint64) (*Cluster, e
 	if spec.Tiers == 3 {
 		return FatTree3(par, spec, seed, 1)
 	}
-	hosts := make([]int, spec.Leaves)
-	for i := range hosts {
-		hosts[i] = spec.HostsPerLeaf
-	}
 	c := newCluster(par, seed)
-	buildTwoLayer(c, hosts, spec.Spines, spec.Trunks,
-		resolveLink(par, spec.HostLink), resolveLink(par, spec.TrunkLink),
-		fabricNames{
-			leaf:     func(l int) string { return fmt.Sprintf("leaf%d", l) },
-			leafRNG:  func(l int) string { return fmt.Sprintf("leaf%d", l) },
-			spine:    func(s int) string { return fmt.Sprintf("spine%d", s) },
-			spineRNG: func(s int) string { return fmt.Sprintf("spine%d", s) },
-		})
+	c.build(spec, nil, nil)
 	return c, nil
 }
 
@@ -219,116 +239,200 @@ func resolveLink(par model.FabricParams, override *model.LinkParams) model.LinkP
 	return par.Link
 }
 
-// fabricNames decouples switch naming (and, critically, the labels their
-// jitter RNG streams derive from) from the builder, so the legacy Star and
-// TwoTier constructors reproduce their historical streams byte for byte.
-type fabricNames struct {
-	leaf, leafRNG, spine, spineRNG func(int) string
+// legacyLeaf is one leaf of the legacy Star and TwoTier shapes: its
+// historical switch name, the label its jitter RNG stream derives from (so
+// seeded legacy runs reproduce their streams byte for byte) and its host
+// count.
+type legacyLeaf struct {
+	name, rng string
+	hosts     int
 }
 
-// buildTwoLayer wires a two-layer fabric into c and derives its routes.
+// build wires a fat-tree into c and derives its routes. It serves every
+// shape: the spineless one- and two-leaf racks, two-layer leaf/spine
+// fabrics, and, given a partition plan, spec.Pods leaf/spine blocks under
+// a layer of cores whose links cross the plan's shards. legacy, when set,
+// names the leaves of a spineless rack and sets their host counts in place
+// of spec.HostsPerLeaf.
+//
+// Construction order is part of the determinism contract: every switch
+// draws its jitter stream from the cluster root, and each rng.Split
+// advances the root, so the order fixes every stream; it also fixes the
+// link registry fault specs address by name and the core channels' ids,
+// the mailbox's sort key. The order is switches (each pod's leaves, then
+// its spines, then the cores), hosts in node order, intra-pod trunks,
+// core links, routes — a pure function of the spec, never of the shard
+// count.
 //
 // Port numbering: leaf l uses ports 0..hosts[l]-1 for its hosts (port h =
-// local host h) and ports hosts[l]+s*trunks+t for trunk t toward spine s;
-// spine s uses port l*trunks+t for trunk t toward leaf l. A spineless
-// two-leaf fabric puts its direct trunks at ports hosts[l]..hosts[l]+trunks-1.
+// local host h) and ports hosts[l]+s*Trunks+t for trunk t toward spine s;
+// a spineless two-leaf fabric puts its direct trunks at hosts[l]+t. Spine
+// ports are l*Trunks+t down to leaf l, then Leaves*Trunks+k*CoreTrunks+t up
+// to core k; core ports are (p*Spines+s)*CoreTrunks+t toward spine s of
+// pod p.
 //
-// Routing is destination-based and deterministic. On the destination's own
-// leaf the route is the host port. On any other leaf the uplink is chosen
-// by destination id modulo the uplink count, spreading destinations across
-// spines and trunks without any stateful balancing; every spine reaches the
-// destination leaf on trunk dst%trunks. Because the choice is a pure
+// Routing is destination-based and deterministic. On the destination's
+// own leaf the route is the host port. Any other leaf sends it up by
+// destination id modulo its uplinks, spreading destinations across spines
+// and trunks without any stateful balancing; a spine in the destination's
+// pod reaches its leaf on trunk dst%Trunks, a spine in another pod sends
+// it up by destination modulo its core uplinks, and a core reaches the
+// destination pod via spine dst%Spines. Because every choice is a pure
 // function of the destination, all packets of a flow share one path and
-// arrive in order, and a run's schedule is a pure function of (spec, seed).
-func buildTwoLayer(c *Cluster, hosts []int, spines, trunks int, hostLink, trunkLink model.LinkParams, names fabricNames) {
-	leaves := make([]*ibswitch.Switch, len(hosts))
-	uplinks := spines * trunks
-	if spines == 0 && len(hosts) == 2 {
-		uplinks = trunks
-	}
+// arrive in order, and a run's schedule is a pure function of (spec,
+// seed). Alongside each modulo-chosen route the same group of candidate
+// ports is registered as the failover set (one shared slice per group):
+// while the primary is down, new arrivals spread over the survivors.
+func (c *Cluster) build(spec FatTreeSpec, plan *PartitionPlan, legacy []legacyLeaf) {
+	hosts := make([]int, spec.Leaves) // below leaf l of every pod
 	for l := range hosts {
-		leaves[l] = ibswitch.New(c.Eng, names.leaf(l), c.Params.Switch, hosts[l]+uplinks, c.RNG(names.leafRNG(l)))
-		c.Switches = append(c.Switches, leaves[l])
+		hosts[l] = spec.HostsPerLeaf
+		if legacy != nil {
+			hosts[l] = legacy[l].hosts
+		}
 	}
-	spineSwitches := make([]*ibswitch.Switch, spines)
-	for s := range spineSwitches {
-		spineSwitches[s] = ibswitch.New(c.Eng, names.spine(s), c.Params.Switch, len(hosts)*trunks, c.RNG(names.spineRNG(s)))
-		c.Switches = append(c.Switches, spineSwitches[s])
+	pods := 1
+	podEng := func(int) *sim.Engine { return c.Eng }
+	if plan != nil {
+		pods = spec.Pods
+		podEng = func(p int) *sim.Engine { return c.Coord.Shard(plan.PodShard[p]).Eng }
+	}
+	hostLink, trunkLink, coreLink := resolveLink(c.Params, spec.HostLink), resolveLink(c.Params, spec.TrunkLink), spec.coreLink(c.Params)
+	T, CT := spec.Trunks, spec.CoreTrunks
+	uplinks, coreUplinks := spec.uplinks(), spec.Cores*CT
+
+	// Switches.
+	newSwitch := func(eng *sim.Engine, name, rngLabel string, ports int) *ibswitch.Switch {
+		sw := ibswitch.New(eng, name, c.Params.Switch, ports, c.RNG(rngLabel))
+		c.Switches = append(c.Switches, sw)
+		return sw
+	}
+	leaves := make([][]*ibswitch.Switch, pods)
+	spines := make([][]*ibswitch.Switch, pods)
+	for p := range leaves {
+		prefix := ""
+		if plan != nil {
+			prefix = fmt.Sprintf("pod%d.", p)
+		}
+		for l := range hosts {
+			name := prefix + "leaf" + strconv.Itoa(l)
+			label := name
+			if legacy != nil {
+				name, label = legacy[l].name, legacy[l].rng
+			}
+			leaves[p] = append(leaves[p], newSwitch(podEng(p), name, label, hosts[l]+uplinks))
+		}
+		for s := 0; s < spec.Spines; s++ {
+			name := prefix + "spine" + strconv.Itoa(s)
+			spines[p] = append(spines[p], newSwitch(podEng(p), name, name, len(hosts)*T+coreUplinks))
+		}
+	}
+	var cores []*ibswitch.Switch
+	if plan != nil {
+		for k := 0; k < spec.Cores; k++ {
+			name := fmt.Sprintf("core%d", k)
+			cores = append(cores, newSwitch(c.Coord.Shard(plan.CoreShard[k]).Eng, name, name, pods*spec.Spines*CT))
+		}
 	}
 
-	// Hosts, in node order.
+	// Hosts, in node order (pod-major, then leaf-major).
 	node := 0
-	for l, sw := range leaves {
-		for h := 0; h < hosts[l]; h++ {
-			nic := c.addNIC(node)
-			up := link.NewWire(c.Eng, fmt.Sprintf("n%d->%s", node, names.leaf(l)),
-				hostLink.Bandwidth, hostLink.Propagation, sw.Ingress(h), sw.IngressGate(h))
-			nic.Attach(up)
-			c.registerWire(c.Eng, up, sw.IngressGate(h), nil, 0)
-			sw.AttachPeer(h, hostLink, nic, link.Unlimited{})
-			c.registerWire(c.Eng, sw.EgressWire(h), nil, sw, h)
-			node++
-		}
-	}
-
-	// Trunks.
-	if spines == 0 && len(hosts) == 2 {
-		for t := 0; t < trunks; t++ {
-			p0, p1 := hosts[0]+t, hosts[1]+t
-			leaves[0].AttachPeer(p0, trunkLink, leaves[1].Ingress(p1), leaves[1].IngressGate(p1))
-			c.registerWire(c.Eng, leaves[0].EgressWire(p0), leaves[1].IngressGate(p1), leaves[0], p0)
-			leaves[1].AttachPeer(p1, trunkLink, leaves[0].Ingress(p0), leaves[0].IngressGate(p0))
-			c.registerWire(c.Eng, leaves[1].EgressWire(p1), leaves[0].IngressGate(p0), leaves[1], p1)
-		}
-	}
-	for l, leaf := range leaves {
-		for s, spine := range spineSwitches {
-			for t := 0; t < trunks; t++ {
-				pL, pS := hosts[l]+s*trunks+t, l*trunks+t
-				leaf.AttachPeer(pL, trunkLink, spine.Ingress(pS), spine.IngressGate(pS))
-				c.registerWire(c.Eng, leaf.EgressWire(pL), spine.IngressGate(pS), leaf, pL)
-				spine.AttachPeer(pS, trunkLink, leaf.Ingress(pL), leaf.IngressGate(pL))
-				c.registerWire(c.Eng, spine.EgressWire(pS), leaf.IngressGate(pL), spine, pS)
+	for p := range leaves {
+		eng := podEng(p)
+		for l, sw := range leaves[p] {
+			for h := 0; h < hosts[l]; h++ {
+				nic := c.addNIC(eng, node)
+				up := link.NewWire(eng, fmt.Sprintf("n%d->%s", node, sw.Name()),
+					hostLink.Bandwidth, hostLink.Propagation, sw.Ingress(h), sw.IngressGate(h))
+				nic.Attach(up)
+				c.registerWire(eng, up, sw.IngressGate(h), nil, 0)
+				sw.AttachPeer(h, hostLink, nic, link.Unlimited{})
+				c.registerWire(eng, sw.EgressWire(h), nil, sw, h)
+				node++
 			}
 		}
 	}
 
-	// Routes, derived for every (switch, destination) pair. Alongside each
-	// modulo-chosen route the same group of candidate ports is registered as
-	// the failover set (one shared slice per group): while the primary is
-	// down, new arrivals spread over the survivors deterministically.
-	upGroup := make([][]int, len(hosts))
+	// Intra-pod trunks: local wires, both directions.
+	trunk := func(eng *sim.Engine, a *ibswitch.Switch, pa int, b *ibswitch.Switch, pb int) {
+		a.AttachPeer(pa, trunkLink, b.Ingress(pb), b.IngressGate(pb))
+		c.registerWire(eng, a.EgressWire(pa), b.IngressGate(pb), a, pa)
+		b.AttachPeer(pb, trunkLink, a.Ingress(pa), a.IngressGate(pa))
+		c.registerWire(eng, b.EgressWire(pb), a.IngressGate(pa), b, pb)
+	}
+	for p := range leaves {
+		if spec.Spines == 0 && len(hosts) == 2 {
+			for t := 0; t < T; t++ {
+				trunk(podEng(p), leaves[p][0], hosts[0]+t, leaves[p][1], hosts[1]+t)
+			}
+		}
+		for l, leaf := range leaves[p] {
+			for s, spine := range spines[p] {
+				for t := 0; t < T; t++ {
+					trunk(podEng(p), leaf, hosts[l]+s*T+t, spine, l*T+t)
+				}
+			}
+		}
+	}
+
+	// Core links: cross-shard wires, both directions.
+	for p := range spines {
+		for s, spine := range spines[p] {
+			for k, core := range cores {
+				for t := 0; t < CT; t++ {
+					sp, cp := len(hosts)*T+k*CT+t, (p*spec.Spines+s)*CT+t
+					c.crossLink(coreLink, spine, plan.PodShard[p], sp, core, plan.CoreShard[k], cp)
+					c.crossLink(coreLink, core, plan.CoreShard[k], cp, spine, plan.PodShard[p], sp)
+				}
+			}
+		}
+	}
+
+	// Routes, for every (switch, destination) pair.
+	upGroup, downGroup := make([][]int, len(hosts)), make([][]int, len(hosts))
 	for l := range hosts {
-		upGroup[l] = portRange(hosts[l], uplinks)
+		upGroup[l], downGroup[l] = portRange(hosts[l], uplinks), portRange(l*T, T)
 	}
-	downGroup := make([][]int, len(hosts))
-	for ld := range hosts {
-		downGroup[ld] = portRange(ld*trunks, trunks)
-	}
+	coreUpGroup := portRange(len(hosts)*T, coreUplinks)
 	node = 0
-	for ld := range hosts {
-		for h := 0; h < hosts[ld]; h++ {
-			d := ib.NodeID(node)
-			for l, leaf := range leaves {
-				switch {
-				case l == ld:
-					leaf.SetRoute(d, h)
-				case spines == 0:
-					leaf.SetRoute(d, hosts[l]+node%trunks)
-				default:
-					leaf.SetRoute(d, hosts[l]+node%uplinks)
+	for dp := range leaves {
+		coreDownGroup := portRange(dp*spec.Spines*CT, spec.Spines*CT)
+		for dl := range hosts {
+			for dh := 0; dh < hosts[dl]; dh++ {
+				d := ib.NodeID(node)
+				for p := range leaves {
+					for l, leaf := range leaves[p] {
+						if p == dp && l == dl {
+							leaf.SetRoute(d, dh)
+							continue
+						}
+						leaf.SetRoute(d, hosts[l]+node%uplinks)
+						if len(upGroup[l]) > 1 {
+							leaf.SetUplinks(d, upGroup[l])
+						}
+					}
+					for _, spine := range spines[p] {
+						if p == dp {
+							spine.SetRoute(d, dl*T+node%T)
+							if len(downGroup[dl]) > 1 {
+								spine.SetUplinks(d, downGroup[dl])
+							}
+							continue
+						}
+						spine.SetRoute(d, len(hosts)*T+node%coreUplinks)
+						if len(coreUpGroup) > 1 {
+							spine.SetUplinks(d, coreUpGroup)
+						}
+					}
 				}
-				if l != ld && len(upGroup[l]) > 1 {
-					leaf.SetUplinks(d, upGroup[l])
+				for _, core := range cores {
+					core.SetRoute(d, (dp*spec.Spines+node%spec.Spines)*CT+node%CT)
+					if len(coreDownGroup) > 1 {
+						core.SetUplinks(d, coreDownGroup)
+					}
 				}
+				node++
 			}
-			for _, spine := range spineSwitches {
-				spine.SetRoute(d, ld*trunks+node%trunks)
-				if len(downGroup[ld]) > 1 {
-					spine.SetUplinks(d, downGroup[ld])
-				}
-			}
-			node++
 		}
 	}
 }

@@ -1,26 +1,25 @@
-// Three-tier fat-tree generation and shard partitioning. A three-tier
-// fabric is Pods copies of the two-layer pod block (leaves + spines, wired
-// and routed exactly like fattree.go's builder) under a layer of core
-// switches every pod's spines connect to.
+// Three-tier fat-tree partitioning. A three-tier fabric is Pods copies of
+// the two-layer pod block (leaves + spines) under a layer of core switches
+// every pod's spines connect to; FatTree3 partitions it, then builds it
+// with the same builder as every other shape (see fattree.go).
 //
 // The spine-core links are where the shard partitioner cuts: their
 // propagation delay is the conservative lookahead (see internal/sim's
 // package comment). To keep results byte-identical for ANY shard count,
-// every spine-core link routes through a cross-shard channel — including at
-// shards=1, where the channels are self-loops. The core layer therefore
-// uses the split plain-window credit gate (link.CrossSendGate/CrossRecvGate)
-// at every shard count: the frozen-occupancy BufferGate needs same-tick
-// visibility of the receiver's buffer, which a positive-latency cut cannot
-// provide, and modeling long core cables with explicit FC-update credits is
-// the physically honest choice anyway. No two-layer experiment (and none of
-// the pre-existing goldens) traverses a core link, so their behavior is
-// untouched.
+// every spine-core link is a cross-shard link.Wire delivering through a
+// channel — including at shards=1, where the channels are self-loops. The
+// core layer therefore uses the split plain-window credit gate
+// (link.CrossSendGate/CrossRecvGate) at every shard count: the
+// frozen-occupancy BufferGate needs same-tick visibility of the receiver's
+// buffer, which a positive-latency cut cannot provide, and modeling long
+// core cables with explicit FC-update credits is the physically honest
+// choice anyway. No two-layer experiment traverses a core link, so their
+// behavior is untouched.
 package topology
 
 import (
 	"fmt"
 
-	"repro/internal/ib"
 	"repro/internal/ibswitch"
 	"repro/internal/link"
 	"repro/internal/model"
@@ -104,20 +103,10 @@ func Partition(spec FatTreeSpec, shards int, par model.FabricParams) (*Partition
 
 // FatTree3 builds a three-tier fabric split across shards engines under a
 // sim.Coordinator (stored on the returned Cluster; drive the run with
-// Cluster.RunUntil). Construction order — switches, NICs, wires, channels —
-// is a pure function of the spec, never of the shard count, which is what
+// Cluster.RunUntil). It partitions the spec, then hands the plan to the
+// one fat-tree builder (see Cluster.build), whose construction order is a
+// pure function of the spec, never of the shard count — which is what
 // makes shards=1..Pods produce identical schedules.
-//
-// Port numbering: leaf ports are 0..HostsPerLeaf-1 for hosts, then
-// HostsPerLeaf+s*Trunks+t toward spine s; spine ports are l*Trunks+t down
-// to leaf l, then Leaves*Trunks+k*CoreTrunks+t up to core k; core ports are
-// (p*Spines+s)*CoreTrunks+t toward spine s of pod p.
-//
-// Routing extends the two-layer derivation: a leaf sends foreign traffic up
-// by destination modulo its uplinks; a spine sends foreign-pod traffic up
-// by destination modulo its core uplinks; a core reaches the destination
-// pod via spine dst%Spines. All choices are pure functions of the
-// destination, so flows stay single-path and in-order.
 func FatTree3(par model.FabricParams, spec FatTreeSpec, seed uint64, shards int) (*Cluster, error) {
 	spec = spec.withDefaults()
 	plan, err := Partition(spec, shards, par)
@@ -138,173 +127,36 @@ func FatTree3(par model.FabricParams, spec FatTreeSpec, seed uint64, shards int)
 		Params: par,
 		root:   rng.New(seed),
 	}
-	hostLink := resolveLink(par, spec.HostLink)
-	trunkLink := resolveLink(par, spec.TrunkLink)
-	coreLk := spec.coreLink(par)
-	H, uplinks := spec.HostsPerLeaf, spec.Spines*spec.Trunks
-
-	// Switches, in fixed construction order: each pod's leaves then spines,
-	// then the cores.
-	leaves := make([][]*ibswitch.Switch, spec.Pods)
-	spines := make([][]*ibswitch.Switch, spec.Pods)
-	for p := 0; p < spec.Pods; p++ {
-		eng := coord.Shard(plan.PodShard[p]).Eng
-		for l := 0; l < spec.Leaves; l++ {
-			name := fmt.Sprintf("pod%d.leaf%d", p, l)
-			sw := ibswitch.New(eng, name, par.Switch, H+uplinks, c.RNG(name))
-			leaves[p] = append(leaves[p], sw)
-			c.Switches = append(c.Switches, sw)
-		}
-		for s := 0; s < spec.Spines; s++ {
-			name := fmt.Sprintf("pod%d.spine%d", p, s)
-			sw := ibswitch.New(eng, name, par.Switch, spec.Leaves*spec.Trunks+spec.Cores*spec.CoreTrunks, c.RNG(name))
-			spines[p] = append(spines[p], sw)
-			c.Switches = append(c.Switches, sw)
-		}
-	}
-	cores := make([]*ibswitch.Switch, spec.Cores)
-	for k := range cores {
-		name := fmt.Sprintf("core%d", k)
-		cores[k] = ibswitch.New(coord.Shard(plan.CoreShard[k]).Eng, name, par.Switch, spec.Pods*spec.Spines*spec.CoreTrunks, c.RNG(name))
-		c.Switches = append(c.Switches, cores[k])
-	}
-
-	// Hosts, in node order (pod-major = global-leaf-major).
-	node := 0
-	for p := range leaves {
-		eng := coord.Shard(plan.PodShard[p]).Eng
-		for _, sw := range leaves[p] {
-			for h := 0; h < H; h++ {
-				nic := c.addNICOn(eng, node)
-				up := link.NewWire(eng, fmt.Sprintf("n%d->%s", node, sw.Name()),
-					hostLink.Bandwidth, hostLink.Propagation, sw.Ingress(h), sw.IngressGate(h))
-				nic.Attach(up)
-				c.registerWire(eng, up, sw.IngressGate(h), nil, 0)
-				sw.AttachPeer(h, hostLink, nic, link.Unlimited{})
-				c.registerWire(eng, sw.EgressWire(h), nil, sw, h)
-				node++
-			}
-		}
-	}
-
-	// Intra-pod trunks: plain local wires, both directions.
-	for p := range leaves {
-		eng := coord.Shard(plan.PodShard[p]).Eng
-		for l, leaf := range leaves[p] {
-			for s, spine := range spines[p] {
-				for t := 0; t < spec.Trunks; t++ {
-					pL, pS := H+s*spec.Trunks+t, l*spec.Trunks+t
-					leaf.AttachPeer(pL, trunkLink, spine.Ingress(pS), spine.IngressGate(pS))
-					c.registerWire(eng, leaf.EgressWire(pL), spine.IngressGate(pS), leaf, pL)
-					spine.AttachPeer(pS, trunkLink, leaf.Ingress(pL), leaf.IngressGate(pL))
-					c.registerWire(eng, spine.EgressWire(pS), leaf.IngressGate(pL), spine, pS)
-				}
-			}
-		}
-	}
-
-	// Spine-core links: always conservative channels, both directions. The
-	// channel creation order below fixes the channel ids (part of the
-	// mailbox's total order), so it must not depend on the shard placement.
-	for p := 0; p < spec.Pods; p++ {
-		for s := 0; s < spec.Spines; s++ {
-			for k := 0; k < spec.Cores; k++ {
-				for t := 0; t < spec.CoreTrunks; t++ {
-					spinePort := spec.Leaves*spec.Trunks + k*spec.CoreTrunks + t
-					corePort := (p*spec.Spines+s)*spec.CoreTrunks + t
-					if err := crossAttach(c, coord, coreLk, par.Switch,
-						spines[p][s], plan.PodShard[p], spinePort,
-						cores[k], plan.CoreShard[k], corePort); err != nil {
-						return nil, err
-					}
-					if err := crossAttach(c, coord, coreLk, par.Switch,
-						cores[k], plan.CoreShard[k], corePort,
-						spines[p][s], plan.PodShard[p], spinePort); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-
-	// Routes, derived for every (switch, destination) pair. Each
-	// modulo-chosen route also registers its candidate group as the failover
-	// set (shared slices, one per routing group), so failed-over traffic
-	// spreads over the survivors by the same destination-modulo rule.
-	podHosts := spec.Leaves * H
-	leafUp := portRange(H, uplinks)
-	spineUp := portRange(spec.Leaves*spec.Trunks, spec.Cores*spec.CoreTrunks)
-	spineDown := make([][]int, spec.Leaves)
-	for dl := range spineDown {
-		spineDown[dl] = portRange(dl*spec.Trunks, spec.Trunks)
-	}
-	coreDown := make([][]int, spec.Pods)
-	for dp := range coreDown {
-		coreDown[dp] = portRange(dp*spec.Spines*spec.CoreTrunks, spec.Spines*spec.CoreTrunks)
-	}
-	for dn := 0; dn < spec.NumHosts(); dn++ {
-		d := ib.NodeID(dn)
-		dp, dl, dh := dn/podHosts, (dn/H)%spec.Leaves, dn%H
-		for p := range leaves {
-			for l, leaf := range leaves[p] {
-				if p == dp && l == dl {
-					leaf.SetRoute(d, dh)
-				} else {
-					leaf.SetRoute(d, H+dn%uplinks)
-					if len(leafUp) > 1 {
-						leaf.SetUplinks(d, leafUp)
-					}
-				}
-			}
-			for _, spine := range spines[p] {
-				if p == dp {
-					spine.SetRoute(d, dl*spec.Trunks+dn%spec.Trunks)
-					if len(spineDown[dl]) > 1 {
-						spine.SetUplinks(d, spineDown[dl])
-					}
-				} else {
-					spine.SetRoute(d, spec.Leaves*spec.Trunks+dn%(spec.Cores*spec.CoreTrunks))
-					if len(spineUp) > 1 {
-						spine.SetUplinks(d, spineUp)
-					}
-				}
-			}
-		}
-		for _, core := range cores {
-			core.SetRoute(d, (dp*spec.Spines+dn%spec.Spines)*spec.CoreTrunks+dn%spec.CoreTrunks)
-			if len(coreDown[dp]) > 1 {
-				core.SetUplinks(d, coreDown[dp])
-			}
-		}
-	}
+	c.build(spec, plan, nil)
 	return c, nil
 }
 
-// crossAttach wires one direction of a spine-core cable: a data channel
-// carrying deliveries, a credit channel carrying the FC updates back, the
-// split gate across the two, and the cross wire on the sending switch's
-// egress port.
-func crossAttach(c *Cluster, coord *sim.Coordinator, lk model.LinkParams, swPar model.SwitchParams,
+// crossLink wires one direction of a core cable: a data channel carrying
+// deliveries, a credit channel carrying the FC updates back, the split gate
+// across the two, and a cross-shard wire on the sending switch's egress
+// port. The channels are created in call order, which fixes their ids.
+// Their latency is the core link's propagation, the plan's lookahead, so
+// the coordinator always accepts them.
+func (c *Cluster) crossLink(lk model.LinkParams,
 	src *ibswitch.Switch, srcShard, srcPort int,
-	dst *ibswitch.Switch, dstShard, dstPort int) error {
-	data, err := coord.Channel(srcShard, dstShard, lk.Propagation)
-	if err != nil {
-		return err
-	}
-	credit, err := coord.Channel(dstShard, srcShard, lk.Propagation)
-	if err != nil {
-		return err
-	}
-	sgate := link.NewCrossSendGate(swPar.WindowFor)
-	rgate := link.NewCrossRecvGate(coord.Shard(dstShard).Eng, credit, sgate, lk.Propagation+swPar.CreditReturnDelay)
-	dst.SetIngressCross(dstPort, rgate)
+	dst *ibswitch.Switch, dstShard, dstPort int) {
 	name := fmt.Sprintf("%s.p%d", src.Name(), srcPort)
-	srcEng := coord.Shard(srcShard).Eng
+	channel := func(from, to int) *sim.Chan {
+		ch, err := c.Coord.Channel(from, to, lk.Propagation)
+		if err != nil {
+			panic(fmt.Sprintf("topology: core link %s: %v", name, err))
+		}
+		return ch
+	}
+	data := channel(srcShard, dstShard)
+	credit := channel(dstShard, srcShard)
+	swPar := c.Params.Switch
+	sgate := link.NewCrossSendGate(swPar.WindowFor)
+	rgate := link.NewCrossRecvGate(c.Coord.Shard(dstShard).Eng, credit, sgate, lk.Propagation+swPar.CreditReturnDelay)
+	dst.SetIngressCross(dstPort, rgate)
+	srcEng := c.Coord.Shard(srcShard).Eng
 	sgate.SetDiag(srcEng, name)
 	rgate.SetName(fmt.Sprintf("%s.p%d:in", dst.Name(), dstPort))
-	w := link.NewCrossWire(srcEng, name,
-		lk.Bandwidth, lk.Propagation, data, dst.Ingress(dstPort), sgate)
-	src.AttachCross(srcPort, w)
-	c.registerCross(srcEng, w, rgate, src, srcPort)
-	return nil
+	src.AttachWire(srcPort, link.NewCrossWire(srcEng, name, lk.Bandwidth, lk.Propagation, data, dst.Ingress(dstPort), sgate))
+	c.registerWire(srcEng, src.EgressWire(srcPort), rgate, src, srcPort)
 }

@@ -48,6 +48,8 @@ func TestFatTree3Shape(t *testing.T) {
 func TestThreeTierSpecValidation(t *testing.T) {
 	zeroProp := model.HWTestbed().Link
 	zeroProp.Propagation = 0
+	zeroBW := model.HWTestbed().Link
+	zeroBW.Bandwidth = 0
 	cases := []struct {
 		name string
 		spec topology.FatTreeSpec
@@ -62,6 +64,8 @@ func TestThreeTierSpecValidation(t *testing.T) {
 		{"leaf over budget", topology.FatTreeSpec{Tiers: 3, Pods: 2, Leaves: 2, HostsPerLeaf: 10, Spines: 4, MaxPorts: 12}, "leaf radix"},
 		{"spine over budget", topology.FatTreeSpec{Tiers: 3, Pods: 2, Leaves: 10, HostsPerLeaf: 2, Spines: 1, Cores: 4, MaxPorts: 12}, "spine radix"},
 		{"core over budget", topology.FatTreeSpec{Tiers: 3, Pods: 8, Leaves: 2, HostsPerLeaf: 2, Spines: 2, MaxPorts: 12}, "core radix"},
+		{"core_link without bandwidth", topology.FatTreeSpec{Tiers: 3, Pods: 2, Leaves: 2, HostsPerLeaf: 2, Spines: 1, CoreLink: &zeroBW}, "core_link.bandwidth_bps must be positive"},
+		{"core_link without propagation", topology.FatTreeSpec{Tiers: 3, Pods: 2, Leaves: 2, HostsPerLeaf: 2, Spines: 1, CoreLink: &zeroProp}, "core_link.propagation_ps must be positive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

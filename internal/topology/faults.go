@@ -18,38 +18,30 @@ import (
 	"repro/internal/units"
 )
 
-// faultLink is one registered directed link: exactly one of wire/cross is
-// non-nil. sw/port name the egress the sending side schedules from (nil for
+// faultLink is one registered directed link, local or cross-shard. acct is
+// the receiving side's ingress accounting (nil toward an RNIC): the port's
+// BufferGate on a local link, the link's CrossRecvGate on a cross-shard
+// one. sw/port name the egress the sending side schedules from (nil for
 // RNIC-owned wires, which cannot flap — their transmitter has no failover).
 type faultLink struct {
 	eng    *sim.Engine // the SENDING shard's engine
 	wire   *link.Wire
-	cross  *link.CrossWire
-	rgate  *link.CrossRecvGate    // receiving half of a cross link
-	acct   link.IngressAccounting // receiving accounting of a local link
+	acct   link.IngressAccounting
 	sw     *ibswitch.Switch
 	port   int
 	faults *link.Faults // installed on first use
 }
 
-// registerWire records a local wire under its diagnostic name.
+// registerWire records a wire under its diagnostic name.
 func (c *Cluster) registerWire(eng *sim.Engine, w *link.Wire, acct link.IngressAccounting, sw *ibswitch.Switch, port int) {
-	c.register(w.Name(), &faultLink{eng: eng, wire: w, acct: acct, sw: sw, port: port})
-}
-
-// registerCross records a cross-shard wire under its diagnostic name.
-func (c *Cluster) registerCross(eng *sim.Engine, w *link.CrossWire, rgate *link.CrossRecvGate, sw *ibswitch.Switch, port int) {
-	c.register(w.Name(), &faultLink{eng: eng, cross: w, rgate: rgate, sw: sw, port: port})
-}
-
-func (c *Cluster) register(name string, fl *faultLink) {
 	if c.links == nil {
 		c.links = make(map[string]*faultLink)
 	}
+	name := w.Name()
 	if _, dup := c.links[name]; dup {
 		panic(fmt.Sprintf("topology: duplicate link name %q", name))
 	}
-	c.links[name] = fl
+	c.links[name] = &faultLink{eng: eng, wire: w, acct: acct, sw: sw, port: port}
 	c.linkNames = append(c.linkNames, name)
 }
 
@@ -88,18 +80,15 @@ func (c *Cluster) faultsOn(fl *faultLink) *link.Faults {
 		return fl.faults
 	}
 	fl.faults = link.NewFaults()
-	if fl.wire != nil {
-		fl.wire.InstallFaults(fl.faults, fl.acct)
-	} else {
-		fl.cross.InstallFaults(fl.faults, fl.rgate)
-	}
+	fl.wire.InstallFaults(fl.faults, fl.acct)
 	return fl.faults
 }
 
 // SetLinkDrop arms Bernoulli loss on the named link. The drop stream is
-// split from the cluster root by link name, so it depends only on (seed,
-// link) — never on shard count or on which other links carry faults. Call
-// in the schedule's declared order: Split consumes root state.
+// split from the cluster root by link name, after construction has taken
+// its splits in a fixed order, so it depends on the seed, the fabric, the
+// link and the drop entries armed before it — never on shard count. Call
+// in the schedule's declared order: each Split advances the root.
 func (c *Cluster) SetLinkDrop(name string, prob float64) error {
 	fl, err := c.linkByName(name)
 	if err != nil {

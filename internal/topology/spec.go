@@ -2,9 +2,10 @@
 // shape. Spec unifies the historical closed set of topologies (back-to-back,
 // the paper's star rack, the two-switch multi-hop setup) with the
 // generalized fat-tree generator: the legacy shapes are degenerate fat-tree
-// cases built by the same two-layer builder (see fattree.go), but keep
-// their historical switch names and RNG labels so seeded runs reproduce
-// byte for byte.
+// cases built by the one fat-tree builder (see fattree.go), but keep their
+// historical switch names and RNG labels so seeded runs reproduce byte for
+// byte. Callers that need a fabric's parameters before building it resolve
+// them here by the builder's rules (HostLink, ShardRange).
 package topology
 
 import (
@@ -106,6 +107,16 @@ func (s Spec) Build(par model.FabricParams, seed uint64) (*Cluster, error) {
 	}
 	_, err := ParseKind(string(s.Kind))
 	return nil, err
+}
+
+// HostLink resolves the cable parameters between a host and its switch,
+// by the rule the builder applies: a fat-tree's HostLink override, else the
+// fabric default par.Link. Every host of a fabric gets the same cable.
+func (s Spec) HostLink(par model.FabricParams) model.LinkParams {
+	if s.Kind == KindFatTree && s.FatTree != nil {
+		return resolveLink(par, s.FatTree.HostLink)
+	}
+	return par.Link
 }
 
 // ShardRange describes the valid `shards` values for this spec: "1" for

@@ -117,13 +117,9 @@ func newCluster(par model.FabricParams, seed uint64) *Cluster {
 	}
 }
 
-func (c *Cluster) addNIC(i int) *rnic.RNIC {
-	return c.addNICOn(c.Eng, i)
-}
-
-// addNICOn creates node i's RNIC on a specific shard engine. The RNG label
-// depends only on the node id, so shard placement never shifts a stream.
-func (c *Cluster) addNICOn(eng *sim.Engine, i int) *rnic.RNIC {
+// addNIC creates node i's RNIC on a shard engine. The RNG label depends
+// only on the node id, so shard placement never shifts a stream.
+func (c *Cluster) addNIC(eng *sim.Engine, i int) *rnic.RNIC {
 	n := rnic.New(eng, ib.NodeID(i), c.Params.NIC, c.RNG(fmt.Sprintf("nic%d", i)))
 	c.NICs = append(c.NICs, n)
 	return n
@@ -132,8 +128,8 @@ func (c *Cluster) addNICOn(eng *sim.Engine, i int) *rnic.RNIC {
 // BackToBack connects two RNICs with a cable and no switch (§VI-A).
 func BackToBack(par model.FabricParams, seed uint64) *Cluster {
 	c := newCluster(par, seed)
-	a := c.addNIC(0)
-	b := c.addNIC(1)
+	a := c.addNIC(c.Eng, 0)
+	b := c.addNIC(c.Eng, 1)
 	// RNIC receive paths never back-pressure (see model.NICParams).
 	ab := link.NewWire(c.Eng, "a->b", par.Link.Bandwidth, par.Link.Propagation, b, link.Unlimited{})
 	ba := link.NewWire(c.Eng, "b->a", par.Link.Bandwidth, par.Link.Propagation, a, link.Unlimited{})
@@ -150,10 +146,7 @@ func BackToBack(par model.FabricParams, seed uint64) *Cluster {
 // historical switch name and RNG label so seeded runs reproduce exactly.
 func Star(par model.FabricParams, n int, seed uint64) *Cluster {
 	c := newCluster(par, seed)
-	buildTwoLayer(c, []int{n}, 0, 1, par.Link, par.Link, fabricNames{
-		leaf:    func(int) string { return "tor" },
-		leafRNG: func(int) string { return "switch" },
-	})
+	c.build(FatTreeSpec{Leaves: 1, Trunks: 1}, nil, []legacyLeaf{{"tor", "switch", n}})
 	return c
 }
 
@@ -165,10 +158,6 @@ func Star(par model.FabricParams, n int, seed uint64) *Cluster {
 // fat-tree builder, with the legacy switch names and RNG labels.
 func TwoTier(par model.FabricParams, up, down int, seed uint64) *Cluster {
 	c := newCluster(par, seed)
-	legacy := []string{"up", "down"}
-	buildTwoLayer(c, []int{up, down}, 0, 1, par.Link, par.Link, fabricNames{
-		leaf:    func(l int) string { return legacy[l] },
-		leafRNG: func(l int) string { return "switch-" + legacy[l] },
-	})
+	c.build(FatTreeSpec{Leaves: 2, Trunks: 1}, nil, []legacyLeaf{{"up", "switch-up", up}, {"down", "switch-down", down}})
 	return c
 }

@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ib"
@@ -180,6 +181,22 @@ func TestFatTreeSpecValidation(t *testing.T) {
 	ok := topology.FatTreeSpec{Leaves: 2, HostsPerLeaf: 8, Spines: 4, MaxPorts: 12}
 	if _, err := topology.FatTree(model.HWTestbed(), ok, 1); err != nil {
 		t.Errorf("valid 12-port spec rejected: %v", err)
+	}
+	// Cable overrides no wire can run are rejected naming the field.
+	zeroBW := model.LinkParams{Propagation: 3 * units.Nanosecond}
+	negProp := model.LinkParams{Bandwidth: 56 * units.Gbps, Propagation: -5 * units.Nanosecond}
+	for _, tc := range []struct {
+		spec topology.FatTreeSpec
+		want string
+	}{
+		{topology.FatTreeSpec{Leaves: 2, HostsPerLeaf: 2, Spines: 1, HostLink: &zeroBW}, "host_link.bandwidth_bps must be positive, got 0"},
+		{topology.FatTreeSpec{Leaves: 2, HostsPerLeaf: 2, Spines: 1, HostLink: &negProp}, "host_link.propagation_ps must not be negative, got -5000"},
+		{topology.FatTreeSpec{Leaves: 2, HostsPerLeaf: 2, Spines: 1, TrunkLink: &zeroBW}, "trunk_link.bandwidth_bps must be positive"},
+		{topology.FatTreeSpec{Leaves: 2, HostsPerLeaf: 2, TrunkLink: &negProp}, "trunk_link.propagation_ps must not be negative"},
+	} {
+		if _, err := topology.FatTree(model.HWTestbed(), tc.spec, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("spec %+v: error %v, want one containing %q", tc.spec, err, tc.want)
+		}
 	}
 }
 
