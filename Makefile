@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench golden smoke-examples smoke-specs smoke-serve ci
+.PHONY: all vet build test race bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench fuzz-spec golden smoke-examples smoke-specs smoke-serve ci
 
 all: vet build test
 
@@ -56,6 +56,14 @@ test-debugpackets:
 test-perfbench:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
+
+# fuzz-spec fuzzes the spec parser beyond its seed corpus (the committed
+# specs, the example specs and every registered definition, which plain
+# `go test` already runs): any spec ParseSpec accepts must marshal to JSON
+# that parses again and re-marshals byte-identically, so serve's memo key
+# of a spec is stable.
+fuzz-spec:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 20s ./internal/experiments
 
 # test-faults runs the fault-injection and transport-reliability suite:
 # the fault goldens, the shards 1/2/4 x barrier-mode byte-equivalence of
@@ -149,4 +157,4 @@ smoke-specs:
 # ci runs each test once per mode: plain, -race, debugpackets. The focused
 # -race targets above (test-shard, test-faults, test-serve, test-workload)
 # are subsets of race and stay out of ci; they are local shortcuts.
-ci: vet build test race test-alloc test-debugpackets test-perfbench smoke-examples smoke-serve
+ci: vet build test race test-alloc test-debugpackets test-perfbench fuzz-spec smoke-examples smoke-serve

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -321,5 +323,29 @@ func TestCrossSpineMixShape(t *testing.T) {
 	// port-local.
 	if disjointDeep > 1.5*disjointShallow {
 		t.Errorf("disjoint probe not flat: %.2f -> %.2f us", disjointShallow, disjointDeep)
+	}
+}
+
+// A latency probe placed with an explicit src keeps its NIC to itself on a
+// fat-tree, whatever its kind: placement reserves the src from the
+// bulk-source slots, so no BSG shares the probe's send engines.
+func TestPlacementReservesProbeSrc(t *testing.T) {
+	top := topology.SpecFatTree(topology.FatTreeSpec{Leaves: 2, HostsPerLeaf: 4, Spines: 1})
+	poisson := &Arrival{Kind: ArrivalPoisson, RateMps: 1e5}
+	for _, probe := range []Group{
+		{Kind: GroupLSG, Src: ptr(1)},
+		{Kind: GroupOpenLSG, Src: ptr(1), Arrival: poisson},
+		{Kind: GroupRPerf, Src: ptr(1)},
+		{Kind: GroupPerftest, Payload: 64, Src: ptr(1)},
+		{Kind: GroupQperf, Payload: 64, Src: ptr(1)},
+	} {
+		p := Point{Topology: top, Workload: Workload{{Kind: GroupBSG, Count: 6, Payload: 1024}, probe}}
+		if err := p.validate("point"); err != nil {
+			t.Fatal(err)
+		}
+		_, _, bulk := placement(p)
+		if want := []int{4, 5, 2, 6, 3}; !slices.Equal(bulk, want) {
+			t.Errorf("%s at src 1: bulk-source slots %v, want %v", probe.Kind, bulk, want)
+		}
 	}
 }

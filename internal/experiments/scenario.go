@@ -102,9 +102,10 @@ type Result struct {
 	// Tenant slices, indexed like Point.Tenants (populated only when the
 	// point declares tenants). Gbps is the tenant's delivered bulk goodput,
 	// Conf its conformance ratio delivered/promised, P99/P999 the tail
-	// latency of its first latency group (µs), and IsoP99/IsoP999 the same
-	// tails from the same-seed isolation baseline (zero when the run has
-	// fewer than two tenants or the tenant owns no latency group).
+	// latency of its first tail group (µs; a kind groupKinds marks tail),
+	// and IsoP99/IsoP999 the same tails from the same-seed isolation
+	// baseline (zero when the run has fewer than two tenants or the tenant
+	// owns no tail group).
 	TenantGbps, TenantConf          []float64
 	TenantP99Us, TenantP999Us       []float64
 	TenantIsoP99Us, TenantIsoP999Us []float64
@@ -148,7 +149,7 @@ func Run(p Point, opts Options, seed uint64) (Result, error) {
 // perturb individual calibration constants (see bench_test.go).
 //
 // Points with two or more tenants additionally run one isolation baseline
-// per tenant that owns a latency group: the identical sealed configuration
+// per tenant that owns a tail group: the identical sealed configuration
 // (same construction order, same QP numbering) with only that tenant's
 // groups started. The baseline tails land in TenantIsoP99Us/TenantIsoP999Us
 // so interference is measured against the same seed, not a different run.
@@ -270,6 +271,39 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 	}
 
 	drain, probeSrc, bsgSrcs := placement(p)
+	end := opts.end()
+
+	// Collection writes res in workload order; every reduction downstream
+	// preserves it. Each group's collect closure is made by its
+	// construction case below.
+	var res Result
+	if n := len(p.Tenants); n > 0 {
+		res.TenantGbps = make([]float64, n)
+		res.TenantConf = make([]float64, n)
+		res.TenantP99Us = make([]float64, n)
+		res.TenantP999Us = make([]float64, n)
+	}
+	tenantBulk := func(gi int, gbps float64) {
+		if ti := slc.owner[gi]; ti >= 0 {
+			res.TenantGbps[ti] += gbps
+		}
+	}
+	tenantTail := func(gi int, h *stats.Histogram) {
+		if ti := slc.owner[gi]; ti >= 0 && res.TenantP99Us[ti] == 0 && h.Count() > 0 {
+			res.TenantP99Us[ti] = h.QuantileDuration(0.99).Microseconds()
+			res.TenantP999Us[ti] = h.QuantileDuration(0.999).Microseconds()
+		}
+	}
+	// closeBulk closes one bulk flow's meter and books its goodput to the
+	// bulk total and the group's tenant.
+	closeBulk := func(gi int, b *traffic.BSG) float64 {
+		b.CloseAt(end)
+		g := b.Goodput().Gigabits()
+		res.Total += g
+		tenantBulk(gi, g)
+		return g
+	}
+	var sojourns *stats.Histogram // merged across open groups, group order
 
 	// Construct groups in workload order, then start them in the same
 	// order; both orders are part of the determinism contract (spec.go).
@@ -279,16 +313,9 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 	// placement. Constructors schedule no events and draw no randomness,
 	// so the split is invisible to unsliced runs (the goldens lock this).
 	type started struct {
-		g      Group
-		bsgs   []*traffic.BSG
-		dstOf  []int // alltoall: destination per flow
-		lsg    *traffic.LSG
-		rperf  *core.Session
-		pf     *tools.Perftest
-		qp     *tools.Qperf
-		open   *workload.Open
-		srcs   []int    // sending nodes, for limiter installation
-		starts []func() // deferred Start calls, construction order
+		srcs    []int    // sending nodes, for limiter installation
+		starts  []func() // deferred Start calls, construction order
+		collect func()   // records the group's results in res after the run
 	}
 	var groups []*started
 	slFor := func(gi int, g Group) ib.SL {
@@ -308,20 +335,25 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 	}
 	cursor := 0 // next unclaimed bulk-source slot
 	for gi, g := range p.Workload {
-		sg := &started{g: g}
+		sg := &started{}
 		dst := drain
 		if g.Dst != nil {
 			dst = *g.Dst
 		}
+		// A single-source kind sends from src; the bulk kinds place their
+		// own sources below.
+		src := g.source(probeSrc, bsgSrcs)
+		if !groupKinds[g.Kind].bulk() {
+			sg.srcs = []int{src}
+		}
 		switch g.Kind {
 		case GroupBSG:
-			count := g.Count
-			if count > len(bsgSrcs)-cursor {
-				count = len(bsgSrcs) - cursor // the fabric has only so many source slots
-			}
+			count := min(g.Count, len(bsgSrcs)-cursor) // the fabric has only so many source slots
+			var bsgs []*traffic.BSG
 			for i := 0; i < count; i++ {
-				b, err := traffic.NewBSG(c.NIC(bsgSrcs[cursor+i]), c.NIC(dst), traffic.BSGConfig{
-					Payload: units.ByteSize(g.Payload),
+				n := bsgSrcs[cursor+i]
+				b, err := traffic.NewBSG(c.NIC(n), c.NIC(dst), traffic.BSGConfig{
+					Payload: g.payload(),
 					SL:      slFor(gi, g),
 					MsgCost: units.Duration(g.MsgCostNs) * units.Nanosecond,
 				})
@@ -329,125 +361,93 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 					return Result{}, err
 				}
 				sg.starts = append(sg.starts, func() { b.Start(opts.start()) })
-				sg.srcs = append(sg.srcs, bsgSrcs[cursor+i])
-				sg.bsgs = append(sg.bsgs, b)
+				sg.srcs = append(sg.srcs, n)
+				bsgs = append(bsgs, b)
 			}
 			cursor += count
+			sg.collect = func() {
+				for _, b := range bsgs {
+					res.BSGGbps = append(res.BSGGbps, closeBulk(gi, b))
+				}
+			}
 		case GroupPretend:
 			// The pretend LSG always takes the last bulk-source slot (the
 			// downstream node in the two-tier topology), independent of
 			// how many honest BSGs run — so reducing the BSG count does
 			// not relocate the gaming flow.
-			if len(bsgSrcs) == 0 && g.Src == nil {
+			if src < 0 {
 				return Result{}, fmt.Errorf("experiments: pretend group needs a bulk-source slot, but topology %s has none free (set src explicitly)", p.Topology.Label())
-			}
-			src := 0
-			if len(bsgSrcs) > 0 {
-				src = bsgSrcs[len(bsgSrcs)-1]
-			}
-			if g.Src != nil {
-				src = *g.Src
 			}
 			b, err := traffic.NewPretendLSG(c.NIC(src), c.NIC(dst), slFor(gi, g))
 			if err != nil {
 				return Result{}, err
 			}
-			sg.starts = append(sg.starts, func() { b.Start(opts.start()) })
-			sg.srcs = append(sg.srcs, src)
-			sg.bsgs = append(sg.bsgs, b)
+			sg.starts = []func(){func() { b.Start(opts.start()) }}
+			sg.collect = func() { res.Pretend = closeBulk(gi, b) }
 		case GroupLSG:
-			src := probeSrc
-			if g.Src != nil {
-				src = *g.Src
-			}
 			l, err := traffic.NewLSG(c.NIC(src), ib.NodeID(dst), traffic.LSGConfig{
-				Payload: units.ByteSize(g.Payload),
+				Payload: g.payload(),
 				SL:      slFor(gi, g),
 				Warmup:  opts.start(),
 			})
 			if err != nil {
 				return Result{}, err
 			}
-			sg.starts = append(sg.starts, l.Start)
-			sg.srcs = append(sg.srcs, src)
-			sg.lsg = l
+			sg.starts = []func(){l.Start}
+			sg.collect = func() {
+				res.LSGHist = l.RTT()
+				res.LSG = l.RTT().Summarize()
+				tenantTail(gi, l.RTT())
+			}
 		case GroupRPerf:
-			src := 0
-			if g.Src != nil {
-				src = *g.Src
-			}
-			payload := g.Payload
-			if payload == 0 {
-				payload = 64
-			}
 			s, err := core.New(c.NIC(src), ib.NodeID(dst), core.Config{
-				Payload: units.ByteSize(payload),
+				Payload: g.payload(),
 				SL:      slFor(gi, g),
 				Warmup:  opts.start(),
 			})
 			if err != nil {
 				return Result{}, err
 			}
-			sg.starts = append(sg.starts, s.Start)
-			sg.srcs = append(sg.srcs, src)
-			sg.rperf = s
+			sg.starts = []func(){s.Start}
+			sg.collect = func() {
+				sum := s.Summary()
+				res.RPerfMedNs = sum.Median.Nanoseconds()
+				res.RPerfTailNs = sum.P999.Nanoseconds()
+				tenantTail(gi, s.RTT())
+			}
 		case GroupPerftest:
-			src := 0
-			if g.Src != nil {
-				src = *g.Src
-			}
 			client := host.New(c.NIC(src), fab.Host)
-			pf, err := tools.NewPerftest(client, serverFor(dst), units.ByteSize(g.Payload), opts.start())
+			pf, err := tools.NewPerftest(client, serverFor(dst), g.payload(), opts.start())
 			if err != nil {
 				return Result{}, err
 			}
-			sg.starts = append(sg.starts, pf.Start)
-			sg.srcs = append(sg.srcs, src)
-			sg.pf = pf
+			sg.starts = []func(){pf.Start}
+			sg.collect = func() {
+				res.PerftestP50Us = units.Duration(pf.RTT().Median()).Microseconds()
+				res.PerftestP999Us = units.Duration(pf.RTT().P999()).Microseconds()
+			}
 		case GroupQperf:
-			src := 0
-			if g.Src != nil {
-				src = *g.Src
-			}
 			client := host.New(c.NIC(src), fab.Host)
-			qp, err := tools.NewQperf(client, serverFor(dst), units.ByteSize(g.Payload), opts.start())
+			qp, err := tools.NewQperf(client, serverFor(dst), g.payload(), opts.start())
 			if err != nil {
 				return Result{}, err
 			}
-			sg.starts = append(sg.starts, qp.Start)
-			sg.srcs = append(sg.srcs, src)
-			sg.qp = qp
+			sg.starts = []func(){qp.Start}
+			sg.collect = func() { res.QperfMeanUs = qp.MeanRTT().Microseconds() }
 		case GroupOpenBSG, GroupOpenLSG:
 			if g.Arrival == nil {
 				return Result{}, fmt.Errorf("experiments: workload[%d] kind %q requires an arrival block", gi, g.Kind)
 			}
-			var srcNodes []int
 			if g.Kind == GroupOpenBSG {
-				count := g.Count
-				if count <= 0 {
-					count = 1
-				}
-				if count > len(bsgSrcs)-cursor {
-					count = len(bsgSrcs) - cursor
-				}
-				srcNodes = append(srcNodes, bsgSrcs[cursor:cursor+count]...)
+				count := min(max(g.Count, 1), len(bsgSrcs)-cursor)
+				sg.srcs = bsgSrcs[cursor : cursor+count]
 				cursor += count
-			} else {
-				src := probeSrc
-				if g.Src != nil {
-					src = *g.Src
-				}
-				srcNodes = []int{src}
 			}
-			if len(srcNodes) == 0 {
+			if len(sg.srcs) == 0 {
 				return Result{}, fmt.Errorf("experiments: workload[%d] (%s) has no free bulk-source slots on topology %s", gi, g.Kind, p.Topology.Label())
 			}
-			payload := g.Payload
-			if payload == 0 {
-				payload = 64 // openlsg default; validation requires openbsg to set one
-			}
-			nics := make([]*rnic.RNIC, len(srcNodes))
-			for i, n := range srcNodes {
+			nics := make([]*rnic.RNIC, len(sg.srcs))
+			for i, n := range sg.srcs {
 				nics[i] = c.NIC(n)
 			}
 			// The arrival schedule is pre-generated inside NewOpen from the
@@ -458,19 +458,32 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 				Seed:    seed,
 				Group:   gi,
 				Arrival: workload.Arrival{Kind: g.Arrival.Kind, RateMps: g.Arrival.RateMps, TraceUs: g.Arrival.TraceUs},
-				Payload: units.ByteSize(payload),
+				Payload: g.payload(),
 				SL:      slFor(gi, g),
 				UseSend: g.Kind == GroupOpenLSG,
-				Horizon: opts.end(),
+				Horizon: end,
 				Warmup:  opts.start(),
 				MsgCost: units.Duration(g.MsgCostNs) * units.Nanosecond,
 			})
 			if err != nil {
 				return Result{}, err
 			}
-			sg.starts = append(sg.starts, ow.Start)
-			sg.srcs = srcNodes
-			sg.open = ow
+			sg.starts = []func(){ow.Start}
+			sg.collect = func() {
+				ow.CloseAt(end)
+				res.OfferedGbps += ow.OfferedGoodput(opts.start(), end).Gigabits()
+				d := ow.DeliveredGoodput().Gigabits()
+				res.DeliveredGbps += d
+				tenantBulk(gi, d)
+				h := ow.Sojourns()
+				tenantTail(gi, h)
+				if sojourns == nil {
+					sojourns = h
+				} else {
+					sojourns.Merge(h)
+				}
+				res.BacklogMax = max(res.BacklogMax, ow.BacklogMax())
+			}
 		case GroupAllToAll:
 			spec := p.Topology.FatTree
 			if spec == nil {
@@ -485,28 +498,15 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 			// artifact, not slice interference. Receiving there is fine —
 			// the receive path does not queue behind the send FIFOs.
 			skip := map[int]bool{}
-			if slc.active {
-				for oi, og := range p.Workload {
-					if slc.owner[oi] == slc.owner[gi] {
-						continue
-					}
-					probe := -1
-					switch og.Kind {
-					case GroupLSG:
-						probe = probeSrc
-					case GroupRPerf, GroupPerftest, GroupQperf:
-						probe = 0
-					default:
-						continue
-					}
-					if og.Src != nil {
-						probe = *og.Src
-					}
-					skip[probe] = true
+			for oi, og := range p.Workload {
+				if slc.active && slc.owner[oi] != slc.owner[gi] && groupKinds[og.Kind].probe {
+					skip[og.source(probeSrc, bsgSrcs)] = true
 				}
 			}
 			// Round r shifts destinations by r whole leaves, so every
 			// flow leaves its source leaf and crosses the spine layer.
+			var bsgs []*traffic.BSG
+			var dstOf []int
 			for r := 1; r <= shifts; r++ {
 				for i := 0; i < h; i++ {
 					if skip[i] {
@@ -514,7 +514,7 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 					}
 					d := (i + r*spec.HostsPerLeaf) % h
 					b, err := traffic.NewBSG(c.NIC(i), c.NIC(d), traffic.BSGConfig{
-						Payload: units.ByteSize(g.Payload),
+						Payload: g.payload(),
 						SL:      slFor(gi, g),
 					})
 					if err != nil {
@@ -522,8 +522,17 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 					}
 					sg.starts = append(sg.starts, func() { b.Start(opts.start()) })
 					sg.srcs = append(sg.srcs, i)
-					sg.bsgs = append(sg.bsgs, b)
-					sg.dstOf = append(sg.dstOf, d)
+					bsgs = append(bsgs, b)
+					dstOf = append(dstOf, d)
+				}
+			}
+			sg.collect = func() {
+				perDst := make([]float64, h)
+				for i, b := range bsgs {
+					perDst[dstOf[i]] += closeBulk(gi, b)
+				}
+				if mn, mx := minMax(perDst); mx > 0 {
+					res.Fairness = mn / mx
 				}
 			}
 		default:
@@ -565,7 +574,6 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 		}
 	}
 
-	end := opts.end()
 	if ctx := opts.Ctx; ctx != nil {
 		// A cancelled context (the sweep runner draining, a per-job
 		// deadline expiring) aborts the simulation at the engine's next
@@ -579,90 +587,11 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 		return Result{}, fmt.Errorf("experiments: run cancelled at %v of %v simulated: %w", c.Eng.Now(), end, opts.Ctx.Err())
 	}
 
-	// Collect in workload order; every reduction downstream preserves it.
 	// Isolation runs collect only the isolated tenant's groups — the rest
 	// never started, so their meters and histograms are empty.
-	var res Result
-	if n := len(p.Tenants); n > 0 {
-		res.TenantGbps = make([]float64, n)
-		res.TenantConf = make([]float64, n)
-		res.TenantP99Us = make([]float64, n)
-		res.TenantP999Us = make([]float64, n)
-	}
-	tenantBulk := func(gi int, gbps float64) {
-		if ti := slc.owner[gi]; ti >= 0 {
-			res.TenantGbps[ti] += gbps
-		}
-	}
-	tenantTail := func(gi int, h *stats.Histogram) {
-		if ti := slc.owner[gi]; ti >= 0 && res.TenantP99Us[ti] == 0 && h.Count() > 0 {
-			res.TenantP99Us[ti] = h.QuantileDuration(0.99).Microseconds()
-			res.TenantP999Us[ti] = h.QuantileDuration(0.999).Microseconds()
-		}
-	}
-	var sojourns *stats.Histogram // merged across open groups, group order
 	for gi, sg := range groups {
-		if isolate >= 0 && slc.owner[gi] != isolate {
-			continue
-		}
-		switch sg.g.Kind {
-		case GroupBSG:
-			for _, b := range sg.bsgs {
-				b.CloseAt(end)
-				g := b.Goodput().Gigabits()
-				res.BSGGbps = append(res.BSGGbps, g)
-				res.Total += g
-				tenantBulk(gi, g)
-			}
-		case GroupPretend:
-			b := sg.bsgs[0]
-			b.CloseAt(end)
-			res.Pretend = b.Goodput().Gigabits()
-			res.Total += res.Pretend
-			tenantBulk(gi, res.Pretend)
-		case GroupLSG:
-			res.LSGHist = sg.lsg.RTT()
-			res.LSG = sg.lsg.RTT().Summarize()
-			tenantTail(gi, sg.lsg.RTT())
-		case GroupRPerf:
-			sum := sg.rperf.Summary()
-			res.RPerfMedNs = sum.Median.Nanoseconds()
-			res.RPerfTailNs = sum.P999.Nanoseconds()
-			tenantTail(gi, sg.rperf.RTT())
-		case GroupPerftest:
-			res.PerftestP50Us = units.Duration(sg.pf.RTT().Median()).Microseconds()
-			res.PerftestP999Us = units.Duration(sg.pf.RTT().P999()).Microseconds()
-		case GroupQperf:
-			res.QperfMeanUs = sg.qp.MeanRTT().Microseconds()
-		case GroupOpenBSG, GroupOpenLSG:
-			ow := sg.open
-			ow.CloseAt(end)
-			res.OfferedGbps += ow.OfferedGoodput(opts.start(), end).Gigabits()
-			d := ow.DeliveredGoodput().Gigabits()
-			res.DeliveredGbps += d
-			tenantBulk(gi, d)
-			h := ow.Sojourns()
-			tenantTail(gi, h)
-			if sojourns == nil {
-				sojourns = h
-			} else {
-				sojourns.Merge(h)
-			}
-			if b := ow.BacklogMax(); b > res.BacklogMax {
-				res.BacklogMax = b
-			}
-		case GroupAllToAll:
-			perDst := make([]float64, p.Topology.NumHosts())
-			for i, b := range sg.bsgs {
-				b.CloseAt(end)
-				g := b.Goodput().Gigabits()
-				res.Total += g
-				perDst[sg.dstOf[i]] += g
-				tenantBulk(gi, g)
-			}
-			if mn, mx := minMax(perDst); mx > 0 {
-				res.Fairness = mn / mx
-			}
+		if isolate < 0 || slc.owner[gi] == isolate {
+			sg.collect()
 		}
 	}
 	if sojourns != nil && sojourns.Count() > 0 {
@@ -713,7 +642,7 @@ func placement(p Point) (drain, probeSrc int, bsgSrcs []int) {
 		probeSrc = 0
 		skip := map[int]bool{probeSrc: true, drain: true}
 		for _, g := range p.Workload {
-			if g.Src != nil && (g.Kind == GroupLSG || g.Kind == GroupOpenLSG) {
+			if g.Src != nil && groupKinds[g.Kind].probe {
 				skip[*g.Src] = true
 			}
 			if g.Dst != nil {

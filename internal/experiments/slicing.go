@@ -79,12 +79,12 @@ func resolveSlicing(p Point, fab model.FabricParams) (slicing, error) {
 
 func gbps(g float64) units.Bandwidth { return units.Bandwidth(g * float64(units.Gbps)) }
 
-// tenantHasLatencyGroup reports whether tenant ti owns a latency-probing
-// group — the precondition for running its isolation baseline.
+// tenantHasLatencyGroup reports whether tenant ti owns a group whose tail
+// latency runScenario records as the tenant's — the precondition for
+// running its isolation baseline.
 func (p Point) tenantHasLatencyGroup(ti int) bool {
-	owner := p.tenantOwner()
-	for gi, g := range p.Workload {
-		if owner[gi] == ti && (g.Kind == GroupLSG || g.Kind == GroupRPerf) {
+	for _, gi := range p.Tenants[ti].Groups {
+		if groupKinds[p.Workload[gi].Kind].tail {
 			return true
 		}
 	}

@@ -128,3 +128,33 @@ func TestSliceConformanceGuarantee(t *testing.T) {
 		t.Errorf("latency tenant p99 = %.3f µs vs isolation %.3f µs (%.1f%% inflation), want <= 10%%", full, iso, (full/iso-1)*100)
 	}
 }
+
+// A tenant whose latency group is open loop gets its isolation baseline
+// too: runScenario records an openlsg group's sojourn p99 as the tenant's
+// tail, so interference must be measured against the same seed run alone.
+func TestSliceOpenLoopTenantBaseline(t *testing.T) {
+	p := Point{
+		Topology: topology.SpecStar,
+		Workload: Workload{
+			{Kind: GroupBSG, Count: 4, Payload: 1024},
+			{Kind: GroupOpenLSG, Arrival: &Arrival{Kind: ArrivalPoisson, RateMps: 2e5}},
+		},
+		Tenants: []Tenant{
+			{Name: "bulk", PromisedGbps: 36, Groups: []int{0}},
+			{Name: "lat", PromisedGbps: 12, HighPriority: true, Groups: []int{1}},
+		},
+	}
+	if err := p.validate("point"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(p, Options{Measure: 2 * units.Millisecond, Warmup: 500 * units.Microsecond}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full, iso := res.TenantP99Us[1], res.TenantIsoP99Us[1]; full <= 0 || iso <= 0 {
+		t.Fatalf("open-loop latency tenant p99: full=%.3f iso=%.3f µs, want both positive", full, iso)
+	}
+	if pct := (Metrics{res}).value("slice_if_p99_pct"); pct <= 0 {
+		t.Errorf("slice_if_p99_pct = %.1f, want the probe's inflation over its isolation baseline", pct)
+	}
+}

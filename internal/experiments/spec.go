@@ -62,15 +62,6 @@ const (
 	GroupOpenLSG = "openlsg"
 )
 
-func groupKinds() []string {
-	ks := []string{GroupBSG, GroupLSG, GroupPretend, GroupRPerf, GroupPerftest, GroupQperf, GroupAllToAll, GroupOpenBSG, GroupOpenLSG}
-	sort.Strings(ks)
-	return ks
-}
-
-// openKind reports whether a group kind is arrival-driven (open loop).
-func openKind(kind string) bool { return kind == GroupOpenBSG || kind == GroupOpenLSG }
-
 // Arrival process kinds (open-loop groups). The names mirror
 // workload.Poisson/Fixed/Trace; the spec layer keeps its own constants so
 // the JSON schema is defined here, next to its validation.
@@ -104,26 +95,31 @@ type Arrival struct {
 type Group struct {
 	// Kind selects the generator type (see the Group* constants).
 	Kind string `json:"kind"`
-	// Count is the number of bulk senders (bsg) or cross-leaf shift
-	// rounds (alltoall, 0 = Leaves-1). Ignored by the other kinds.
+	// Count is the number of bulk senders (bsg), open-loop sources
+	// (openbsg, default 1) or cross-leaf shift rounds (alltoall, 0 =
+	// Leaves-1). Ignored by the other kinds.
 	Count int `json:"count,omitempty"`
-	// Payload is the message size in bytes. Defaults to 64 for lsg and
-	// rperf; required for bsg, alltoall, perftest and qperf; fixed (256,
-	// batched) for pretend.
+	// Payload is the message size in bytes. Defaults to 64 for lsg, rperf
+	// and openlsg; required for bsg, alltoall, perftest, qperf and
+	// openbsg; fixed (256, batched) for pretend.
 	Payload int64 `json:"payload,omitempty"`
 	// SL tags the group's traffic (the dedicated-QoS experiments put
 	// latency traffic on SL1).
 	SL uint8 `json:"sl,omitempty"`
-	// Src overrides the group's source node (lsg, rperf, perftest,
-	// qperf; default: the topology's probe slot, or node 0 for the
-	// measurement tools).
+	// Src overrides the group's source node (lsg, openlsg, rperf,
+	// perftest, qperf, pretend; default: the topology's probe slot, node 0
+	// for the measurement tools, the last bulk-source slot for pretend).
+	// The bulk kinds (bsg, openbsg, alltoall) send from their own source
+	// pattern and reject it.
 	Src *int `json:"src,omitempty"`
 	// Dst overrides the group's destination node (default: the
 	// topology's drain port). A latency probe re-aimed at another port
 	// is how the cross-spine experiment shows congestion is port-local.
+	// alltoall sends to a shifted host and rejects it.
 	Dst *int `json:"dst,omitempty"`
 	// MsgCostNs overrides the per-message RNIC engine cost in
-	// nanoseconds to model batched posting (bsg only; 0 = NIC default).
+	// nanoseconds to model batched posting (read by bsg, openbsg and
+	// openlsg; 0 = NIC default).
 	MsgCostNs int64 `json:"msg_cost_ns,omitempty"`
 	// Arrival drives an open-loop group (openbsg, openlsg): sends follow
 	// this arrival process instead of a completion loop. Required for the
@@ -135,7 +131,7 @@ type Group struct {
 // formed) for the open-loop kinds, rejected everywhere else. Errors name
 // the offending field.
 func (g Group) validateArrival(gp string) error {
-	if !openKind(g.Kind) {
+	if !groupKinds[g.Kind].open {
 		if g.Arrival != nil {
 			return fmt.Errorf("spec: %s.arrival is only valid for the open-loop kinds (%s, %s), not %q",
 				gp, GroupOpenBSG, GroupOpenLSG, g.Kind)
@@ -265,8 +261,8 @@ func (p Point) effectiveSL(i int) ib.SL {
 
 // Sweep axis fields.
 const (
-	// AxisPayload sweeps the payload of every payload-bearing group
-	// (bsg, rperf, perftest, qperf, alltoall).
+	// AxisPayload sweeps the payload of every payload-bearing group (the
+	// kinds whose groupKinds entry sets payloadAxis).
 	AxisPayload = "payload"
 	// AxisBSGs sweeps the sender count of every bsg group.
 	AxisBSGs = "bsgs"
@@ -287,12 +283,6 @@ const (
 	// bandwidth. Requires at least one open-loop group in the point.
 	AxisLoad = "load"
 )
-
-func axisFields() []string {
-	fs := []string{AxisPayload, AxisBSGs, AxisPolicy, AxisTopology, AxisProfile, AxisVariant, AxisLoad}
-	sort.Strings(fs)
-	return fs
-}
 
 // Variant is one named point of a variant axis.
 type Variant struct {
@@ -315,21 +305,8 @@ type Axis struct {
 
 // Len is the number of values along the axis.
 func (a Axis) Len() int {
-	switch a.Field {
-	case AxisPayload:
-		return len(a.Payloads)
-	case AxisBSGs:
-		return len(a.Counts)
-	case AxisPolicy:
-		return len(a.Policies)
-	case AxisTopology:
-		return len(a.Topologies)
-	case AxisProfile:
-		return len(a.Profiles)
-	case AxisVariant:
-		return len(a.Variants)
-	case AxisLoad:
-		return len(a.Loads)
+	if k, ok := axisKinds[a.Field]; ok {
+		return k.len(a)
 	}
 	return 0
 }
@@ -389,95 +366,24 @@ func (s Spec) Validate() error {
 }
 
 func (a Axis) validate(path string) error {
-	lists := map[string]int{
-		AxisPayload:  len(a.Payloads),
-		AxisBSGs:     len(a.Counts),
-		AxisPolicy:   len(a.Policies),
-		AxisTopology: len(a.Topologies),
-		AxisProfile:  len(a.Profiles),
-		AxisVariant:  len(a.Variants),
-		AxisLoad:     len(a.Loads),
+	k, ok := axisKinds[a.Field]
+	if !ok {
+		return fmt.Errorf("spec: %s.field %q unknown (valid: %s)", path, a.Field, strings.Join(sortedKeys(axisKinds), ", "))
 	}
-	if _, ok := lists[a.Field]; !ok {
-		return fmt.Errorf("spec: %s.field %q unknown (valid: %s)", path, a.Field, strings.Join(axisFields(), ", "))
+	if k.len(a) == 0 {
+		return fmt.Errorf("spec: %s: field %q needs a non-empty %s list", path, a.Field, k.list)
 	}
-	if lists[a.Field] == 0 {
-		return fmt.Errorf("spec: %s: field %q needs a non-empty %s list", path, a.Field, a.listName())
-	}
-	for f, n := range lists {
-		if f != a.Field && n > 0 {
-			return fmt.Errorf("spec: %s: field is %q but a %s list is set", path, a.Field, (Axis{Field: f}).listName())
+	for _, f := range sortedKeys(axisKinds) {
+		if other := axisKinds[f]; f != a.Field && other.len(a) > 0 {
+			return fmt.Errorf("spec: %s: field is %q but a %s list is set", path, a.Field, other.list)
 		}
 	}
-	switch a.Field {
-	case AxisPolicy:
-		for i, p := range a.Policies {
-			if _, err := ibswitch.ParsePolicy(p); err != nil {
-				return fmt.Errorf("spec: %s.policies[%d]: %w", path, i, err)
-			}
-		}
-	case AxisTopology:
-		for i, t := range a.Topologies {
-			if err := t.Validate(); err != nil {
-				return fmt.Errorf("spec: %s.topologies[%d]: %w", path, i, err)
-			}
-		}
-	case AxisProfile:
-		for i, p := range a.Profiles {
-			if _, err := model.Profile(p); err != nil {
-				return fmt.Errorf("spec: %s.profiles[%d]: %w", path, i, err)
-			}
-		}
-	case AxisPayload:
-		for i, p := range a.Payloads {
-			if p <= 0 {
-				return fmt.Errorf("spec: %s.payloads[%d] must be positive, got %d", path, i, p)
-			}
-		}
-	case AxisBSGs:
-		for i, n := range a.Counts {
-			if n < 0 {
-				return fmt.Errorf("spec: %s.counts[%d] must be non-negative, got %d", path, i, n)
-			}
-		}
-	case AxisVariant:
-		for i, v := range a.Variants {
-			if v.Name == "" {
-				return fmt.Errorf("spec: %s.variants[%d].name is required", path, i)
-			}
-			if err := v.Point.validate(fmt.Sprintf("%s.variants[%d].point", path, i)); err != nil {
-				return err
-			}
-		}
-	case AxisLoad:
-		for i, l := range a.Loads {
-			if l <= 0 {
-				return fmt.Errorf("spec: %s.loads[%d] must be positive, got %g", path, i, l)
-			}
+	for i := range k.len(a) {
+		if err := k.check(a, i, fmt.Sprintf("%s.%s[%d]", path, k.list, i)); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// listName is the JSON key of the axis' value list.
-func (a Axis) listName() string {
-	switch a.Field {
-	case AxisPayload:
-		return "payloads"
-	case AxisBSGs:
-		return "counts"
-	case AxisPolicy:
-		return "policies"
-	case AxisTopology:
-		return "topologies"
-	case AxisProfile:
-		return "profiles"
-	case AxisVariant:
-		return "variants"
-	case AxisLoad:
-		return "loads"
-	}
-	return "values"
 }
 
 func (p Point) validate(path string) error {
@@ -511,20 +417,21 @@ func (p Point) validate(path string) error {
 	}
 	for i, g := range p.Workload {
 		gp := fmt.Sprintf("%s.workload[%d]", path, i)
-		switch g.Kind {
-		case GroupBSG, GroupLSG, GroupPretend, GroupRPerf, GroupPerftest, GroupQperf, GroupOpenBSG, GroupOpenLSG:
-		case GroupAllToAll:
-			if p.Topology.Kind != topology.KindFatTree {
-				return fmt.Errorf("spec: %s: kind %q requires a fattree topology, got %q", gp, g.Kind, p.Topology.Kind)
-			}
-		default:
-			return fmt.Errorf("spec: %s.kind %q unknown (valid: %s)", gp, g.Kind, strings.Join(groupKinds(), ", "))
+		k, ok := groupKinds[g.Kind]
+		if !ok {
+			return fmt.Errorf("spec: %s.kind %q unknown (valid: %s)", gp, g.Kind, strings.Join(sortedKeys(groupKinds), ", "))
 		}
-		switch g.Kind {
-		case GroupBSG, GroupAllToAll, GroupPerftest, GroupQperf, GroupOpenBSG:
-			if g.Payload <= 0 {
-				return fmt.Errorf("spec: %s.payload must be positive for kind %q, got %d", gp, g.Kind, g.Payload)
-			}
+		if k.fatTree && p.Topology.Kind != topology.KindFatTree {
+			return fmt.Errorf("spec: %s: kind %q requires a fattree topology, got %q", gp, g.Kind, p.Topology.Kind)
+		}
+		if k.payload == 0 && g.Payload <= 0 {
+			return fmt.Errorf("spec: %s.payload must be positive for kind %q, got %d", gp, g.Kind, g.Payload)
+		}
+		if k.bulk() && g.Src != nil {
+			return fmt.Errorf("spec: %s.src is not valid for kind %q: it sends from its own source pattern", gp, g.Kind)
+		}
+		if k.src == fromEveryHost && g.Dst != nil {
+			return fmt.Errorf("spec: %s.dst is not valid for kind %q: every host sends to a shifted host", gp, g.Kind)
 		}
 		if err := g.validateArrival(gp); err != nil {
 			return err
@@ -656,6 +563,191 @@ func (s Spec) MarshalIndent() ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// --- Group kinds and sweep axes --------------------------------------------
+
+// groupKind declares one group kind: everything the spec layer, placement,
+// the sweep axes and the tenant rules know about it. It is data only; the
+// kind's constructor is its case in runScenario, the one other place a
+// kind appears. Adding a kind takes its constant, an entry here and that
+// construction case.
+type groupKind struct {
+	// payload is the default payload in bytes; 0 means the spec must set
+	// a positive one. pretend's 256 is fixed: it ignores Payload.
+	payload int64
+	// src is where the group sends from when it sets no Src.
+	src sourceSlot
+	// probe marks the latency probes: placement reserves a probe's explicit
+	// Src from the bulk-source slots, and under tenancy an alltoall group
+	// sends nothing from another tenant's probe host.
+	probe bool
+	// tail marks the kinds whose tail latency runScenario records as their
+	// tenant's p99; a tenant owning one gets an isolation baseline.
+	tail bool
+	// open marks the arrival-driven (open-loop) kinds.
+	open bool
+	// fatTree marks the kinds that need a fat-tree topology.
+	fatTree bool
+	// payloadAxis and bsgsAxis mark the kinds whose Payload and Count the
+	// payload and bsgs sweep axes rewrite.
+	payloadAxis, bsgsAxis bool
+}
+
+// sourceSlot is a kind's default source.
+type sourceSlot int
+
+const (
+	fromBulkSlots sourceSlot = iota // the next free bulk-source slots
+	fromEveryHost                   // every host, to a shifted destination
+	fromProbeSlot                   // the topology's probe slot
+	fromLastBulk                    // the last bulk-source slot
+	fromNode0                       // node 0
+)
+
+// bulk reports whether the kind sends from its own source pattern (the
+// bulk-source slots, or every host) and so takes no Src.
+func (k groupKind) bulk() bool { return k.src == fromBulkSlots || k.src == fromEveryHost }
+
+var groupKinds = map[string]groupKind{
+	GroupBSG:      {src: fromBulkSlots, payloadAxis: true, bsgsAxis: true},
+	GroupLSG:      {payload: 64, src: fromProbeSlot, probe: true, tail: true},
+	GroupPretend:  {payload: 256, src: fromLastBulk},
+	GroupRPerf:    {payload: 64, src: fromNode0, probe: true, tail: true, payloadAxis: true},
+	GroupPerftest: {src: fromNode0, probe: true, payloadAxis: true},
+	GroupQperf:    {src: fromNode0, probe: true, payloadAxis: true},
+	GroupAllToAll: {src: fromEveryHost, fatTree: true, payloadAxis: true},
+	GroupOpenBSG:  {src: fromBulkSlots, tail: true, open: true},
+	GroupOpenLSG:  {payload: 64, src: fromProbeSlot, probe: true, tail: true, open: true},
+}
+
+// payload is the group's message size: Payload, else its kind's default.
+func (g Group) payload() units.ByteSize {
+	if g.Payload == 0 {
+		return units.ByteSize(groupKinds[g.Kind].payload)
+	}
+	return units.ByteSize(g.Payload)
+}
+
+// source is the node a single-source group sends from: Src, else its
+// kind's default slot, or -1 when that slot does not exist (no bulk-source
+// slot for pretend).
+func (g Group) source(probeSrc int, bsgSrcs []int) int {
+	if g.Src != nil {
+		return *g.Src
+	}
+	switch groupKinds[g.Kind].src {
+	case fromProbeSlot:
+		return probeSrc
+	case fromLastBulk:
+		if len(bsgSrcs) == 0 {
+			return -1
+		}
+		return bsgSrcs[len(bsgSrcs)-1]
+	}
+	return 0
+}
+
+// axisKind declares one sweep axis. Adding an axis takes its constant, its
+// Axis list field and an entry in axisKinds.
+type axisKind struct {
+	list string         // JSON name of the axis's value list
+	len  func(Axis) int // length of that list
+	// check validates value i; at is the value's path in the spec, which
+	// the error names.
+	check func(a Axis, i int, at string) error
+	// apply rewrites the point for value i and returns the value's label.
+	apply func(p *Point, a Axis, i int) (string, error)
+}
+
+var axisKinds = map[string]axisKind{
+	AxisPayload: {list: "payloads", len: func(a Axis) int { return len(a.Payloads) },
+		check: func(a Axis, i int, at string) error {
+			if v := a.Payloads[i]; v <= 0 {
+				return fmt.Errorf("spec: %s must be positive, got %d", at, v)
+			}
+			return nil
+		},
+		apply: func(p *Point, a Axis, i int) (string, error) {
+			v := a.Payloads[i]
+			p.rewriteGroups(func(g *Group) {
+				if groupKinds[g.Kind].payloadAxis {
+					g.Payload = v
+				}
+			})
+			return payloadLabel(v), nil
+		}},
+	AxisBSGs: {list: "counts", len: func(a Axis) int { return len(a.Counts) },
+		check: func(a Axis, i int, at string) error {
+			if v := a.Counts[i]; v < 0 {
+				return fmt.Errorf("spec: %s must be non-negative, got %d", at, v)
+			}
+			return nil
+		},
+		apply: func(p *Point, a Axis, i int) (string, error) {
+			v := a.Counts[i]
+			p.rewriteGroups(func(g *Group) {
+				if groupKinds[g.Kind].bsgsAxis {
+					g.Count = v
+				}
+			})
+			return fmt.Sprint(v), nil
+		}},
+	AxisPolicy: {list: "policies", len: func(a Axis) int { return len(a.Policies) },
+		check: func(a Axis, i int, at string) error {
+			if _, err := ibswitch.ParsePolicy(a.Policies[i]); err != nil {
+				return fmt.Errorf("spec: %s: %w", at, err)
+			}
+			return nil
+		},
+		apply: func(p *Point, a Axis, i int) (string, error) {
+			p.Policy = a.Policies[i]
+			pol, err := ibswitch.ParsePolicy(p.Policy)
+			return pol.String(), err
+		}},
+	AxisTopology: {list: "topologies", len: func(a Axis) int { return len(a.Topologies) },
+		check: func(a Axis, i int, at string) error {
+			if err := a.Topologies[i].Validate(); err != nil {
+				return fmt.Errorf("spec: %s: %w", at, err)
+			}
+			return nil
+		},
+		apply: func(p *Point, a Axis, i int) (string, error) {
+			p.Topology = a.Topologies[i]
+			return p.Topology.Label(), nil
+		}},
+	AxisProfile: {list: "profiles", len: func(a Axis) int { return len(a.Profiles) },
+		check: func(a Axis, i int, at string) error {
+			if _, err := model.Profile(a.Profiles[i]); err != nil {
+				return fmt.Errorf("spec: %s: %w", at, err)
+			}
+			return nil
+		},
+		apply: func(p *Point, a Axis, i int) (string, error) {
+			p.Profile = a.Profiles[i]
+			return p.Profile, nil
+		}},
+	AxisVariant: {list: "variants", len: func(a Axis) int { return len(a.Variants) },
+		check: func(a Axis, i int, at string) error {
+			if a.Variants[i].Name == "" {
+				return fmt.Errorf("spec: %s.name is required", at)
+			}
+			return a.Variants[i].Point.validate(at + ".point")
+		},
+		apply: func(p *Point, a Axis, i int) (string, error) {
+			*p = a.Variants[i].Point
+			return a.Variants[i].Name, nil
+		}},
+	AxisLoad: {list: "loads", len: func(a Axis) int { return len(a.Loads) },
+		check: func(a Axis, i int, at string) error {
+			if v := a.Loads[i]; v <= 0 {
+				return fmt.Errorf("spec: %s must be positive, got %g", at, v)
+			}
+			return nil
+		},
+		apply: func(p *Point, a Axis, i int) (string, error) {
+			return fmt.Sprintf("%.2f", a.Loads[i]), applyLoad(p, a.Loads[i])
+		}},
 }
 
 // --- Metrics ---------------------------------------------------------------
@@ -827,9 +919,13 @@ func worstInterferencePct(full, iso []float64) float64 {
 }
 
 // MetricNames returns the valid Collect entries, sorted.
-func MetricNames() []string {
-	out := make([]string, 0, len(metricTable))
-	for k := range metricTable {
+func MetricNames() []string { return sortedKeys(metricTable) }
+
+// sortedKeys lists a declaration table's names in sorted order: the fixed
+// order of its error messages.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)

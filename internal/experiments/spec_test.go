@@ -146,6 +146,14 @@ func TestSpecValidationErrors(t *testing.T) {
 			`dst 9 out of range [0, 7)`},
 		{"alltoall needs fattree", `{"base":{"topology":{"kind":"star"},"workload":[{"kind":"alltoall","payload":4096}]},"collect":["bulk_total_gbps"]}`,
 			`requires a fattree topology`},
+		{"src on bsg", `{"base":{"topology":{"kind":"star"},"workload":[{"kind":"bsg","count":1,"payload":4096,"src":3}]},"collect":["bulk_total_gbps"]}`,
+			`workload[0].src is not valid for kind "bsg"`},
+		{"src on openbsg", `{"base":{"topology":{"kind":"star"},"workload":[{"kind":"openbsg","payload":4096,"src":3,"arrival":{"kind":"poisson","rate_mps":1e6}}]},"collect":["delivered_gbps"]}`,
+			`workload[0].src is not valid for kind "openbsg"`},
+		{"src on alltoall", `{"base":{"topology":{"kind":"fattree","fattree":{"leaves":2,"hosts_per_leaf":2,"spines":1}},"workload":[{"kind":"alltoall","payload":4096,"src":1}]},"collect":["bulk_total_gbps"]}`,
+			`workload[0].src is not valid for kind "alltoall"`},
+		{"dst on alltoall", `{"base":{"topology":{"kind":"fattree","fattree":{"leaves":2,"hosts_per_leaf":2,"spines":1}},"workload":[{"kind":"alltoall","payload":4096,"dst":1}]},"collect":["bulk_total_gbps"]}`,
+			`workload[0].dst is not valid for kind "alltoall"`},
 		{"arrival on closed-loop kind", `{"base":{"topology":{"kind":"star"},"workload":[{"kind":"bsg","count":2,"payload":4096,"arrival":{"kind":"poisson","rate_mps":1e6}}]},"collect":["bulk_total_gbps"]}`,
 			`workload[0].arrival is only valid for the open-loop kinds (openbsg, openlsg), not "bsg"`},
 		{"open group missing arrival", `{"base":{"topology":{"kind":"star"},"workload":[{"kind":"openbsg","count":2,"payload":4096}]},"collect":["delivered_gbps"]}`,
@@ -197,6 +205,21 @@ func TestSpecValidationErrors(t *testing.T) {
 				t.Fatalf("error %q does not name the offending field (want substring %q)", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// An axis with several value lists set names the same extra list on every
+// parse: the lists are checked in a fixed order, not a map's.
+func TestAxisExtraListErrorStable(t *testing.T) {
+	spec := []byte(`{"base":` + base2() + `,"sweep":[{"field":"bsgs","counts":[1],"payloads":[64],"loads":[0.5],"policies":["rr"]}],"collect":["lsg_p50_us"]}`)
+	_, err := ParseSpec(spec)
+	if err == nil {
+		t.Fatal("spec with four value lists accepted")
+	}
+	for range 50 {
+		if _, again := ParseSpec(spec); again == nil || again.Error() != err.Error() {
+			t.Fatalf("error changed between parses: %q then %v", err, again)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ib"
-	"repro/internal/ibswitch"
 	"repro/internal/model"
 	"repro/internal/units"
 )
@@ -99,7 +98,7 @@ func (s Spec) Resolve() ([]ResolvedPoint, error) {
 		}
 		labels := make([]string, len(s.Sweep))
 		for a, ax := range s.Sweep {
-			lbl, err := applyAxis(&p, ax, coord[a])
+			lbl, err := axisKinds[ax.Field].apply(&p, ax, coord[a])
 			if err != nil {
 				return nil, err
 			}
@@ -117,60 +116,15 @@ func (s Spec) Resolve() ([]ResolvedPoint, error) {
 	return out, nil
 }
 
-// applyAxis applies one axis value to the point and returns its display
-// label. The workload slice is copied before mutation so points never
-// share group storage.
-func applyAxis(p *Point, ax Axis, idx int) (string, error) {
-	mutateGroups := func(f func(g *Group)) {
-		gs := make(Workload, len(p.Workload))
-		copy(gs, p.Workload)
-		for i := range gs {
-			f(&gs[i])
-		}
-		p.Workload = gs
+// rewriteGroups applies f to every group of a copy of the workload, so
+// grid points never share group storage.
+func (p *Point) rewriteGroups(f func(g *Group)) {
+	gs := make(Workload, len(p.Workload))
+	copy(gs, p.Workload)
+	for i := range gs {
+		f(&gs[i])
 	}
-	switch ax.Field {
-	case AxisPayload:
-		v := ax.Payloads[idx]
-		mutateGroups(func(g *Group) {
-			switch g.Kind {
-			case GroupBSG, GroupRPerf, GroupPerftest, GroupQperf, GroupAllToAll:
-				g.Payload = v
-			}
-		})
-		return payloadLabel(v), nil
-	case AxisBSGs:
-		v := ax.Counts[idx]
-		mutateGroups(func(g *Group) {
-			if g.Kind == GroupBSG {
-				g.Count = v
-			}
-		})
-		return fmt.Sprint(v), nil
-	case AxisPolicy:
-		p.Policy = ax.Policies[idx]
-		pol, err := ibswitch.ParsePolicy(ax.Policies[idx])
-		if err != nil {
-			return "", err
-		}
-		return pol.String(), nil
-	case AxisTopology:
-		p.Topology = ax.Topologies[idx]
-		return ax.Topologies[idx].Label(), nil
-	case AxisProfile:
-		p.Profile = ax.Profiles[idx]
-		return ax.Profiles[idx], nil
-	case AxisVariant:
-		*p = ax.Variants[idx].Point
-		return ax.Variants[idx].Name, nil
-	case AxisLoad:
-		v := ax.Loads[idx]
-		if err := applyLoad(p, v); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%.2f", v), nil
-	}
-	return "", fmt.Errorf("spec: axis field %q unknown", ax.Field)
+	p.Workload = gs
 }
 
 // applyLoad rewrites every rate-driven open-loop group's arrival rate so
@@ -184,9 +138,12 @@ func applyLoad(p *Point, load float64) error {
 	if err != nil {
 		return err
 	}
+	rated := func(g Group) bool {
+		return groupKinds[g.Kind].open && g.Arrival != nil && g.Arrival.Kind != ArrivalTrace
+	}
 	nRated := 0
 	for _, g := range p.Workload {
-		if openKind(g.Kind) && g.Arrival != nil && g.Arrival.Kind != ArrivalTrace {
+		if rated(g) {
 			nRated++
 		}
 	}
@@ -195,25 +152,17 @@ func applyLoad(p *Point, load float64) error {
 			GroupOpenBSG, GroupOpenLSG)
 	}
 	bytesPerSec := float64(p.Topology.HostLink(fab).Bandwidth) / 8
-	gs := make(Workload, len(p.Workload))
-	copy(gs, p.Workload)
-	for i := range gs {
-		g := &gs[i]
-		if !openKind(g.Kind) || g.Arrival == nil || g.Arrival.Kind == ArrivalTrace {
-			continue
-		}
-		payload := g.Payload
-		if payload == 0 {
-			payload = 64 // the openlsg default
+	p.rewriteGroups(func(g *Group) {
+		if !rated(*g) {
+			return
 		}
 		// The arrival block is a pointer: clone it so grid points never
-		// share arrival storage (the same copy-on-write rule mutateGroups
+		// share arrival storage (the same copy-on-write rule rewriteGroups
 		// applies to the group slice itself).
 		a := *g.Arrival
-		a.RateMps = load * bytesPerSec / (float64(wireBytes(units.ByteSize(payload), fab.NIC.MTU)) * float64(nRated))
+		a.RateMps = load * bytesPerSec / (float64(wireBytes(g.payload(), fab.NIC.MTU)) * float64(nRated))
 		g.Arrival = &a
-	}
-	p.Workload = gs
+	})
 	return nil
 }
 

@@ -325,11 +325,6 @@ func (sw *Switch) SetPortDown(i int, down bool) {
 	sw.kick(sw.ports[i])
 }
 
-// PortIsDown reports whether port i is administratively down.
-func (sw *Switch) PortIsDown(i int) bool {
-	return sw.portDown != nil && sw.portDown[i]
-}
-
 // failover redirects a packet for dest off its downed primary port: the
 // surviving ports of the destination's group are counted and the
 // dest-modulo-survivors one is chosen, so the spread stays deterministic

@@ -850,11 +850,5 @@ func (e *engine) process() {
 	}
 }
 
-// QueueLen reports an engine's backlog (tests).
-func (e *engine) QueueLen() int { return len(e.queue) }
-
-// EngineBacklog returns the number of packets queued on engine i.
-func (r *RNIC) EngineBacklog(i int) int { return r.engines[i].QueueLen() }
-
 // PendingOps reports outstanding un-acked operations (tests).
 func (r *RNIC) PendingOps() int { return r.pendingLive }

@@ -64,8 +64,6 @@ type Config struct {
 	// MaxQueued bounds sweeps waiting for a run slot (default 8); beyond
 	// it POSTs are shed with 429.
 	MaxQueued int
-	// RetryAfter is the hint returned with 429 responses (default 2s).
-	RetryAfter time.Duration
 	// JobDeadline caps one job attempt's wall-clock time; an expired
 	// deadline aborts the simulation at its next interrupt poll and
 	// counts as a transient failure. 0 = no deadline.
@@ -74,9 +72,6 @@ type Config struct {
 	Retry RetryPolicy
 	// Workers sizes each sweep's job pool (default GOMAXPROCS).
 	Workers int
-	// Version tags the memo key so checkpoints never survive a model
-	// change (default: the build's VCS revision, else "dev").
-	Version string
 	// Runner overrides job execution (tests). Nil = experiments.Run.
 	Runner JobRunner
 }
@@ -143,9 +138,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxQueued == 0 {
 		cfg.MaxQueued = 8
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 2 * time.Second
-	}
 	if cfg.Retry == (RetryPolicy{}) {
 		cfg.Retry = DefaultRetryPolicy()
 	}
@@ -154,9 +146,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Version == "" {
-		cfg.Version = buildVersion()
 	}
 	if cfg.Runner == nil {
 		cfg.Runner = func(ctx context.Context, p experiments.Point, opts experiments.Options, seed uint64) (experiments.Result, error) {
@@ -178,8 +167,13 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// buildVersion derives the memo key's code-version component from the
-// binary's VCS stamp when available.
+// retryAfter is the hint returned with 429 responses.
+const retryAfter = 2 * time.Second
+
+// codeVersion tags the memo key so checkpoints never survive a model
+// change: the binary's VCS revision, else "dev".
+var codeVersion = buildVersion()
+
 func buildVersion() string {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, kv := range bi.Settings {
@@ -302,7 +296,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	if s.queued.Add(1) > int64(s.cfg.MaxQueued) {
 		s.queued.Add(-1)
 		s.sweepsShed.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		http.Error(w, fmt.Sprintf("serve: admission queue full (%d waiting, %d running); retry later",
 			s.cfg.MaxQueued, s.cfg.MaxRunning), http.StatusTooManyRequests)
 		return false

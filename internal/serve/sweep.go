@@ -40,13 +40,13 @@ type jsonlError struct {
 // canonical hash plus everything else that determines its results — the
 // run options and the code version. Two requests share results if and
 // only if they share a key.
-func memoKey(spec experiments.Spec, opts experiments.Options, version string) (string, error) {
+func memoKey(spec experiments.Spec, opts experiments.Options) (string, error) {
 	sh, err := experiments.SpecHash(spec)
 	if err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256(fmt.Appendf(nil, "%s|measure=%d|warmup=%d|seeds=%v|code=%s",
-		sh, opts.Measure, opts.Warmup, opts.Seeds, version))
+		sh, opts.Measure, opts.Warmup, opts.Seeds, codeVersion))
 	return hex.EncodeToString(sum[:]), nil
 }
 
@@ -73,7 +73,7 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec experimen
 	nseeds := len(opts.Seeds)
 	njobs := len(rps) * nseeds
 
-	key, err := memoKey(spec, opts, s.cfg.Version)
+	key, err := memoKey(spec, opts)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

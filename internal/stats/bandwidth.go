@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"math"
-
-	"repro/internal/units"
-)
+import "repro/internal/units"
 
 // BandwidthMeter accumulates delivered payload bytes over a measurement
 // window and reports goodput, the metric the paper plots for BSGs
@@ -106,31 +102,4 @@ func (m *BandwidthMeter) MessageRate() float64 {
 		return 0
 	}
 	return float64(m.messages) / d.Seconds()
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// StdErr returns the standard error of the mean of xs.
-func StdErr(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	mean := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(n-1)) / math.Sqrt(float64(n))
 }

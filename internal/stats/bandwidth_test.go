@@ -65,24 +65,6 @@ func TestBandwidthMeterCloseExtendsWindow(t *testing.T) {
 	}
 }
 
-func TestMeanAndStdErr(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-	xs := []float64{2, 4, 6}
-	if Mean(xs) != 4 {
-		t.Fatalf("Mean = %v", Mean(xs))
-	}
-	if StdErr([]float64{5}) != 0 {
-		t.Fatal("StdErr of single sample should be 0")
-	}
-	se := StdErr(xs)
-	// sample stddev = 2, stderr = 2/sqrt(3)
-	if math.Abs(se-2/math.Sqrt(3)) > 1e-12 {
-		t.Fatalf("StdErr = %v", se)
-	}
-}
-
 // Regression: the meter must have a closed state. Before the fix, Record
 // after Close kept counting bytes and stretching the window, so a scenario
 // that let in-flight traffic drain after the measurement window silently

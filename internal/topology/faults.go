@@ -49,30 +49,12 @@ func (c *Cluster) registerWire(eng *sim.Engine, w *link.Wire, acct link.IngressA
 // order (shard-count-independent).
 func (c *Cluster) LinkNames() []string { return c.linkNames }
 
-// HasLink reports whether a directed link with this name exists.
-func (c *Cluster) HasLink(name string) bool {
-	_, ok := c.links[name]
-	return ok
-}
-
 func (c *Cluster) linkByName(name string) (*faultLink, error) {
 	fl, ok := c.links[name]
 	if !ok {
 		return nil, fmt.Errorf("topology: unknown link %q (see Cluster.LinkNames)", name)
 	}
 	return fl, nil
-}
-
-// LinkFaults returns the named link's fault state, installing an inert one
-// on first use. Call only on runs whose spec declares faults: installation
-// itself is schedule-neutral, but the per-send bookkeeping it enables is
-// what fault metrics read.
-func (c *Cluster) LinkFaults(name string) (*link.Faults, error) {
-	fl, err := c.linkByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return c.faultsOn(fl), nil
 }
 
 func (c *Cluster) faultsOn(fl *faultLink) *link.Faults {
