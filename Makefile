@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench fuzz-spec golden smoke-examples smoke-specs smoke-serve ci
+.PHONY: all vet build test race bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench fuzz-spec golden parity smoke-examples smoke-specs smoke-serve ci
 
 all: vet build test
 
@@ -123,6 +123,44 @@ smoke-serve:
 golden:
 	$(GO) test ./internal/experiments/ -run 'GoldenFile' -update
 	$(GO) test ./internal/topology/ -run 'ConstructionGolden' -update
+
+# parity checks that the working tree's CLI output is byte-identical to
+# BASE's (a git revision, default HEAD): BASE's ibsim is built from
+# `git archive` under .bench_build/parity/, the working tree's beside it,
+# and both render `list`, every listed id (300us measured after 100us of
+# warmup, two seeds) and every committed spec at -parallel 1 and 2, and
+# `export` of every id. Errors and exit codes are part of the output. A
+# refactor that claims unchanged output runs `make parity BASE=<parent>`;
+# it stays out of ci, whose checkouts have no parent commit.
+BASE ?= HEAD
+PARITY := .bench_build/parity
+parity:
+	@set -e; \
+	rm -rf $(PARITY); mkdir -p $(PARITY)/src $(PARITY)/base $(PARITY)/work; \
+	git archive $(BASE) | tar -x -C $(PARITY)/src; \
+	(cd $(PARITY)/src && $(GO) build -o ../ibsim-base ./cmd/ibsim); \
+	$(GO) build -o $(PARITY)/ibsim-work ./cmd/ibsim; \
+	ids=$$($(PARITY)/ibsim-work list | sed -n -E 's/^[* ] ([a-z0-9][a-z0-9-]*) .*/\1/p'); \
+	win='-format jsonl -measure 300us -warmup 100us -seeds 2'; \
+	for side in base work; do \
+		bin=$(PARITY)/ibsim-$$side; out=$(PARITY)/$$side; \
+		echo "== $$side: $$(echo $$ids | wc -w) ids, specs, exports"; \
+		"$$bin" list >$$out/list 2>&1 || echo "exit $$?" >>$$out/list; \
+		for id in $$ids; do \
+			"$$bin" export -id $$id >$$out/$$id.export 2>&1 || echo "exit $$?" >>$$out/$$id.export; \
+			for p in 1 2; do \
+				"$$bin" run -id $$id $$win -parallel $$p >$$out/$$id.p$$p 2>&1 || echo "exit $$?" >>$$out/$$id.p$$p; \
+			done; \
+		done; \
+		for f in specs/*.json examples/*/spec.json; do \
+			for p in 1 2; do \
+				o=$$out/$$(echo $$f | tr / _).p$$p; \
+				"$$bin" run -spec $$f $$win -parallel $$p >$$o 2>&1 || echo "exit $$?" >>$$o; \
+			done; \
+		done; \
+	done; \
+	diff -r $(PARITY)/base $(PARITY)/work; \
+	echo "parity: $$(ls $(PARITY)/work | wc -l) outputs byte-identical to $(BASE)"
 
 # smoke-examples runs every example binary end to end so the walkthroughs
 # cannot silently rot as the API evolves, then validates the committed

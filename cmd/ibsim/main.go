@@ -385,7 +385,7 @@ func cmdServe(args []string) {
 	maxRunning := fs.Int("max-running", 2, "concurrently executing sweeps")
 	maxQueued := fs.Int("max-queued", 8, "sweeps allowed to wait for a run slot; beyond it POSTs are shed with 429")
 	jobDeadline := fs.Duration("job-deadline", 0, "wall-clock cap per (point, seed) job attempt (0 = none)")
-	retries := fs.Int("retries", 2, "retries per job after a transient failure")
+	retries := fs.Int("retries", 2, "retries per job after its -job-deadline expired")
 	retryBase := fs.Duration("retry-base", 100*time.Millisecond, "backoff before the first retry (doubles per retry)")
 	drain := fs.Duration("drain", 10*time.Second, "grace period for in-flight jobs on shutdown before hard cancel")
 	workers := fs.Int("workers", 0, "job worker pool per sweep (0 = GOMAXPROCS)")

@@ -12,6 +12,25 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// checkGolden compares got with the golden file testdata/file, rewriting
+// the file first when -update is set.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s diverged from committed golden (regenerate with -update if the model change is intentional):\n--- got ---\n%s--- want ---\n%s", file, got, want)
+	}
+}
+
 // The determinism contract (DESIGN.md): a sweep is a pure function of
 // (spec, options, seeds), no matter how many workers run it. The tests
 // below lock that down three ways — sequential runs repeat exactly,
@@ -96,19 +115,7 @@ func TestIncastDeterminismGoldenFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "incast_sweep.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("incast sweep diverged from committed golden (regenerate with -update if the model change is intentional):\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "incast_sweep.golden", got)
 }
 
 func TestDeterminismSequentialRepeats(t *testing.T) {
@@ -146,17 +153,5 @@ func TestDeterminismGoldenFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "fig7a_sweep.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("sweep diverged from committed golden (regenerate with -update if the model change is intentional):\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "fig7a_sweep.golden", got)
 }

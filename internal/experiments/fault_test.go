@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -22,20 +20,7 @@ func faultSuiteGolden(t *testing.T, id, golden string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := tbl.String()
-	path := filepath.Join("testdata", golden)
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("%s diverged from committed golden (regenerate with -update if the model change is intentional):\n--- got ---\n%s--- want ---\n%s", id, got, want)
-	}
+	checkGolden(t, golden, tbl.String())
 }
 
 func TestFaultFlapGoldenFile(t *testing.T) { faultSuiteGolden(t, "faultflap", "fault_flap.golden") }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"testing"
@@ -30,19 +28,7 @@ func TestLoadLatencyGoldenFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "loadlatency_sweep.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("loadlatency sweep diverged from committed golden (regenerate with -update if the model change is intentional):\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "loadlatency_sweep.golden", got)
 }
 
 // TestLoadLatencyParallelMatchesSequential locks the open-loop subsystem

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -38,19 +36,7 @@ func TestRegistryGoldenFile(t *testing.T) {
 		b.WriteByte('\n')
 	}
 	got := b.String()
-	golden := filepath.Join("testdata", "registry.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("registered tables diverged from committed golden (regenerate with -update if the model change is intentional):\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "registry.golden", got)
 }
 
 // TestMetricReduceRules pins each reduce rule on hand-built three-seed

@@ -29,19 +29,7 @@ func TestSliceSweepsGoldenFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden := filepath.Join("testdata", id+"_sweep.golden")
-		if *updateGolden {
-			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("missing golden file (regenerate with -update): %v", err)
-		}
-		if got != string(want) {
-			t.Errorf("%s sweep diverged from committed golden (regenerate with -update if the model change is intentional):\n--- got ---\n%s--- want ---\n%s", id, got, want)
-		}
+		checkGolden(t, id+"_sweep.golden", got)
 	}
 }
 

@@ -139,10 +139,9 @@ type Port struct {
 	departH departHandler
 
 	// Egress. wire is the attached transmitter, local or cross-shard.
-	// egate/eunres cache the downstream credit gate and its optional
-	// Unreserver half, resolved once at attach time — pick and unreserve
-	// run per packet and must not pay an interface Gate() call or a type
-	// assertion each time. (egate/eunres live at the struct tail, below.)
+	// egate caches its downstream credit gate, resolved once at attach
+	// time — pick runs per packet and must not pay a Gate() call per
+	// candidate. (egate lives at the struct tail, below.)
 	wire         *link.Wire
 	egressFreeAt units.Time
 	scheduled    *sim.Event // the single pending pick, if any
@@ -158,9 +157,8 @@ type Port struct {
 	// steady-state arbitration performs no growing appends.
 	elig []candidate
 
-	// Devirtualization caches for the egress (see the wire comment above).
-	egate  link.Gate
-	eunres link.Unreserver
+	// Downstream credit gate of the egress (see the wire comment above).
+	egate link.Gate
 }
 
 // HandleEvent runs the pending egress evaluation (the typed form of the old
@@ -378,10 +376,7 @@ func (sw *Switch) AttachWire(i int, w *link.Wire) {
 	p := sw.ports[i]
 	p.wire = w
 	p.egate = w.Gate()
-	p.eunres, _ = p.egate.(link.Unreserver)
-	if rn, ok := p.egate.(link.ReleaseNotifier); ok {
-		rn.OnRelease(func() { sw.kick(p) })
-	}
+	p.egate.OnRelease(func() { sw.kick(p) })
 }
 
 // SetIngressCross replaces port i's ingress accounting with the receiver
@@ -522,9 +517,13 @@ type candidate struct {
 	qp     *queuedPacket
 }
 
-// pick runs the egress arbiter for out. It reuses out.elig as candidate
-// scratch and walks each input port's non-empty-VL mask, so a steady-state
-// arbitration touches no allocator.
+// pick runs the egress arbiter for out: request, then grant. Every ready
+// head whose packet fits the downstream gate becomes a candidate without
+// taking credit (Gate.Fits); the policy chooses one, and only that winner
+// reserves. A head that does not fit is left for the gate's release hook,
+// which re-kicks this egress. pick reuses out.elig as candidate scratch and
+// walks each input port's non-empty-VL mask, so a steady-state arbitration
+// touches no allocator.
 func (sw *Switch) pick(out *Port) {
 	now := sw.eng.Now()
 	if out.wire == nil {
@@ -543,6 +542,15 @@ func (sw *Switch) pick(out *Port) {
 	eligible := out.elig[:0]
 	nextReady := units.MaxTime
 	activeInputs := 0
+	// pending sums, per VL, the bytes of the heads already admitted, and a
+	// head is admitted only if it fits on top of them. When the gate has
+	// credit for fewer heads than are ready, the lowest-numbered inputs
+	// therefore fill the candidate set and the later ones never compete,
+	// whatever the policy: the multi-switch starvation of ROADMAP.md "Fair
+	// arbitration when an egress is short of credit". Testing each head
+	// alone, Fits(vl, head.size), is the fix; it moves the multi-switch
+	// goldens, so it lands with their regeneration.
+	var pending [ib.NumVLs]units.ByteSize
 	for _, in := range sw.ports {
 		inActive := false
 		for mask := in.vlMask; mask != 0; mask &= mask - 1 {
@@ -571,13 +579,10 @@ func (sw *Switch) pick(out *Port) {
 					continue
 				}
 			}
-			if !out.egate.TryReserve(ib.VL(vl), head.size) {
-				// Downstream credits exhausted; the gate's release hook
-				// will re-kick this egress.
+			if !out.egate.Fits(ib.VL(vl), pending[vl]+head.size) {
 				continue
 			}
-			// Tentatively reserved; only one candidate wins, so release
-			// the others below by tracking reservations.
+			pending[vl] += head.size
 			eligible = append(eligible, candidate{inPort: in.idx, vl: ib.VL(vl), qp: head})
 		}
 		if inActive {
@@ -593,12 +598,10 @@ func (sw *Switch) pick(out *Port) {
 	}
 
 	chosen := sw.choose(out, eligible)
-	// Return the tentative reservations of the losers.
-	for _, c := range eligible {
-		if c == chosen {
-			continue
-		}
-		sw.unreserve(out, c)
+	// Nothing ran between the winner's fit and this grant, so it cannot
+	// fail.
+	if !out.egate.TryReserve(chosen.vl, chosen.qp.size) {
+		panic(fmt.Sprintf("ibswitch %s: port %d: winner on vl %d lost its downstream credit between fit and grant", sw.name, out.idx, chosen.vl))
 	}
 	sw.transmit(out, chosen, activeInputs)
 	// Park the scratch with its packet references dropped — a grown
@@ -606,15 +609,6 @@ func (sw *Switch) pick(out *Port) {
 	// discipline as vlQueue.pop and the engine queue slots).
 	clear(eligible)
 	out.elig = eligible[:0]
-}
-
-// unreserve gives back a tentative downstream reservation. The Unlimited
-// gate ignores this; BufferGate and CrossSendGate get the bytes back via a
-// zero-cost cycle.
-func (sw *Switch) unreserve(out *Port, c candidate) {
-	if out.eunres != nil {
-		out.eunres.Unreserve(c.vl, c.qp.size)
-	}
 }
 
 func (sw *Switch) choose(out *Port, eligible []candidate) candidate {

@@ -146,6 +146,51 @@ func TestFCFSServesOldestAcrossPorts(t *testing.T) {
 	}
 }
 
+// TestPickAdmitsHeadsInPortOrder pins how pick builds its candidate set
+// when the downstream gate has credit for only one of the ready heads:
+// heads are admitted in input-port order, so input 0 takes the one
+// packet of credit although FCFS would serve input 2's older packet.
+// This is the port-order bias behind the multi-switch starvation
+// (ROADMAP.md "Fair arbitration when an egress is short of credit"); the
+// fix admits each head on its own fit, sends input 2's packet, and
+// rewrites this test.
+func TestPickAdmitsHeadsInPortOrder(t *testing.T) {
+	h := newHarness(t, simParams(), 4)
+	h.sw.SetPolicy(ibswitch.FCFS)
+	size := dataTo(3, 4096, 0).WireSize()
+	gate := link.NewBufferGate(h.eng, simParams().CreditReturnDelay, func(ib.VL) units.ByteSize { return size })
+	if !gate.TryReserve(0, size) { // the window is held: no credit yet
+		t.Fatal("fresh one-packet window refused its packet")
+	}
+	h.sw.AttachPeer(3, model.LinkParams{Bandwidth: 56 * units.Gbps, Propagation: 3 * units.Nanosecond}, h.out[3], gate)
+
+	for _, in := range []int{2, 0, 1} { // input 2's packet is the oldest
+		pkt := dataTo(3, 4096, 0)
+		pkt.MsgID = uint64(in)
+		h.inject(in, pkt)
+		h.eng.RunFor(10 * units.Nanosecond)
+	}
+	h.eng.RunFor(units.Microsecond) // every head is past its cut-through gate
+	if n := len(h.out[3].pkts); n != 0 {
+		t.Fatalf("%d packets left without downstream credit", n)
+	}
+	// Return one packet of credit: the held packet lands and drains.
+	gate.OnArrive(0, size)
+	gate.OnDepart(0, size)
+	h.eng.Run()
+
+	got := h.out[3].pkts
+	if len(got) != 1 {
+		t.Fatalf("%d packets left on one packet of credit, want 1", len(got))
+	}
+	if in := got[0].MsgID; in != 0 {
+		t.Fatalf("input %d's packet left, want input 0's (port-order admission)", in)
+	}
+	if a := gate.Available(0); a != 0 {
+		t.Errorf("downstream credit = %d after the grant, want 0", a)
+	}
+}
+
 func TestRRAlternatesPorts(t *testing.T) {
 	h := newHarness(t, simParams(), 4)
 	h.sw.SetPolicy(ibswitch.RR)

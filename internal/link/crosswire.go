@@ -5,7 +5,11 @@
 // own engine. What sets a cross-shard link apart is its gate, not its
 // wire: the receiving buffer's credit accounting is split into a
 // sender-side window (CrossSendGate) fed by explicit credit messages from
-// the receiver side (CrossRecvGate).
+// the receiver side (CrossRecvGate). CrossSendGate is a complete Gate —
+// Fits, TryReserve, ReserveForWaiter and OnRelease — so a switch egress
+// arbitrates over it exactly as over a local BufferGate: it tests each
+// candidate with Fits, reserves for the winner only, and re-arms from the
+// release hook when a credit message lands.
 //
 // The split gate is a plain credit window, not a frozen-occupancy BufferGate:
 // across a cut with positive latency the sender cannot observe the receiver's
@@ -34,24 +38,12 @@ type IngressAccounting interface {
 	OnDepart(vl ib.VL, bytes units.ByteSize)
 }
 
-// Unreserver is a Gate that can take back a tentative reservation (an
-// arbitration candidate that lost). See BufferGate.Unreserve for the
-// hook-skipping contract all implementations share.
-type Unreserver interface {
-	Unreserve(vl ib.VL, bytes units.ByteSize)
-}
-
-// ReleaseNotifier is a Gate that can notify a blocked transmitter that
-// credits were released; switch egress schedulers re-arm through it.
-type ReleaseNotifier interface {
-	OnRelease(fn func())
-}
-
-// Interface conformance of the local fast path (compile-time).
+// Interface conformance (compile-time).
 var (
+	_ Gate              = Unlimited{}
+	_ Gate              = (*BufferGate)(nil)
+	_ Gate              = (*CrossSendGate)(nil)
 	_ IngressAccounting = (*BufferGate)(nil)
-	_ Unreserver        = (*BufferGate)(nil)
-	_ ReleaseNotifier   = (*BufferGate)(nil)
 )
 
 // NewCrossWire builds a cross-shard wire toward peer: a Wire whose
@@ -71,8 +63,6 @@ type xvlSend struct {
 	window  units.ByteSize
 	avail   units.ByteSize
 	waiters []waiter
-	// hadWaiters: same always-on Unreserve witness as vlState.hadWaiters.
-	hadWaiters bool
 }
 
 // CrossSendGate is the transmitter half of a split credit window: a plain
@@ -118,42 +108,29 @@ func (s *xvlSend) grantWaiters() {
 	}
 }
 
+// Fits implements Gate.
+func (g *CrossSendGate) Fits(vl ib.VL, bytes units.ByteSize) bool {
+	s := &g.vls[vl]
+	return len(s.waiters) == 0 && s.avail >= bytes
+}
+
 // TryReserve implements Gate.
 func (g *CrossSendGate) TryReserve(vl ib.VL, bytes units.ByteSize) bool {
-	s := &g.vls[vl]
-	if len(s.waiters) > 0 || s.avail < bytes {
+	if !g.Fits(vl, bytes) {
 		return false
 	}
-	s.take(bytes)
+	g.vls[vl].take(bytes)
 	return true
 }
 
 // ReserveForWaiter implements Gate.
 func (g *CrossSendGate) ReserveForWaiter(vl ib.VL, bytes units.ByteSize, w Waiter) {
-	s := &g.vls[vl]
-	if len(s.waiters) == 0 && s.avail >= bytes {
-		s.take(bytes)
+	if g.TryReserve(vl, bytes) {
 		w.CreditGranted()
 		return
 	}
-	s.hadWaiters = true
-	s.waiters = append(s.waiters, waiter{bytes: bytes, w: w})
-}
-
-// Unreserve returns a losing arbitration candidate's reservation. Hooks are
-// deliberately not fired, under the same single-reserver contract as
-// BufferGate.Unreserve (each cross gate guards one wire fed by one egress
-// port), with the same hadWaiters witness.
-func (g *CrossSendGate) Unreserve(vl ib.VL, bytes units.ByteSize) {
 	s := &g.vls[vl]
-	if s.hadWaiters {
-		invariant(g.eng, g.name, "Unreserve(vl=%d) on a cross-shard VL that has queued waiters — hook-skipping is only safe under single-reserver wiring (see BufferGate.Unreserve doc)", vl)
-	}
-	s.avail += bytes
-	if s.avail > s.window {
-		invariant(g.eng, g.name, "cross-shard unreserve exceeds reserved bytes on vl %d: avail %v > window %v", vl, s.avail, s.window)
-	}
-	s.grantWaiters()
+	s.waiters = append(s.waiters, waiter{bytes: bytes, w: w})
 }
 
 // SetDiag attaches the sending shard's engine and the wire name for
@@ -161,8 +138,8 @@ func (g *CrossSendGate) Unreserve(vl ib.VL, bytes units.ByteSize) {
 // invariants, just with a less located message.
 func (g *CrossSendGate) SetDiag(eng *sim.Engine, name string) { g.eng, g.name = eng, name }
 
-// OnRelease registers a hook invoked whenever credits return; the sending
-// switch's egress scheduler re-arms through it.
+// OnRelease implements Gate: hooks fire whenever a mailbox credit message
+// lands.
 func (g *CrossSendGate) OnRelease(fn func()) { g.onRelease = append(g.onRelease, fn) }
 
 // Available reports the sender-visible credits for a VL.

@@ -99,24 +99,6 @@ func TestCrossGateCreditRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCrossGateUnreserve: a losing candidate's bytes go straight back.
-func TestCrossGateUnreserve(t *testing.T) {
-	g := NewCrossSendGate(func(ib.VL) units.ByteSize { return 100 })
-	if !g.TryReserve(1, 60) {
-		t.Fatal("reserve refused")
-	}
-	g.Unreserve(1, 60)
-	if got := g.Available(1); got != 100 {
-		t.Fatalf("avail = %d after unreserve, want 100", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("over-unreserve did not panic")
-		}
-	}()
-	g.Unreserve(1, 1)
-}
-
 // TestCrossGateConservationPanic: a duplicate credit return trips the
 // window-conservation check.
 func TestCrossGateConservationPanic(t *testing.T) {

@@ -52,11 +52,18 @@ type Waiter interface {
 
 // Gate is the transmitter-facing view of a downstream buffer's credits.
 type Gate interface {
-	// TryReserve takes bytes of credit for vl if available.
+	// Fits reports whether TryReserve(vl, bytes) would succeed now,
+	// without taking any credit. A switch egress arbiter asks it of every
+	// candidate and reserves for the winner only.
+	Fits(vl ib.VL, bytes units.ByteSize) bool
+	// TryReserve takes bytes of credit for vl if they fit.
 	TryReserve(vl ib.VL, bytes units.ByteSize) bool
 	// ReserveForWaiter notifies w once bytes of credit for vl have been
 	// reserved on its behalf. Waiters are served FIFO per VL.
 	ReserveForWaiter(vl ib.VL, bytes units.ByteSize, w Waiter)
+	// OnRelease registers a hook invoked whenever credits return; a
+	// switch egress that found no credit re-arms through it.
+	OnRelease(fn func())
 }
 
 // Unlimited is the gate of a receiver that never back-pressures. RNIC
@@ -64,11 +71,18 @@ type Gate interface {
 // any of the paper's experiments (see model.NICParams.RxPipeline).
 type Unlimited struct{}
 
+// Fits always succeeds.
+func (Unlimited) Fits(ib.VL, units.ByteSize) bool { return true }
+
 // TryReserve always succeeds.
 func (Unlimited) TryReserve(ib.VL, units.ByteSize) bool { return true }
 
 // ReserveForWaiter notifies w immediately.
 func (Unlimited) ReserveForWaiter(_ ib.VL, _ units.ByteSize, w Waiter) { w.CreditGranted() }
+
+// OnRelease drops fn: an unlimited gate never withholds credit, so it
+// never has any to release.
+func (Unlimited) OnRelease(func()) {}
 
 // Wire is one direction of a cable: a serialization resource owned by its
 // transmitter plus a propagation delay. Transmitters must serialize their
@@ -119,9 +133,6 @@ func (w *Wire) InstallFaults(f *Faults, acct IngressAccounting) {
 	f.acct = acct
 	w.faults = f
 }
-
-// FaultState returns the installed fault state (nil on fault-free runs).
-func (w *Wire) FaultState() *Faults { return w.faults }
 
 // FreeAt reports when the wire finishes its current transmission.
 func (w *Wire) FreeAt() units.Time { return w.freeAt }
@@ -199,11 +210,6 @@ type vlState struct {
 	reserved units.ByteSize // reserved by sender, not yet arrived (in flight)
 	escrow   units.ByteSize // released by departures, withheld from sender
 	waiters  []waiter
-	// hadWaiters latches once a reservation has ever queued on this VL. It
-	// is the cheap always-on witness for Unreserve's safety contract: the
-	// hook-skipping there is only sound on gates that never queue waiters
-	// (see the Unreserve doc comment).
-	hadWaiters bool
 
 	arr     rateEstimator
 	dep     rateEstimator
@@ -346,66 +352,43 @@ func (g *BufferGate) SetFrozen(on bool) { g.frozen = on }
 // it guards). Purely diagnostic.
 func (g *BufferGate) SetName(name string) { g.name = name }
 
-// OnRelease registers a hook invoked whenever credits are released; switch
-// egress schedulers use it to re-arm.
+// OnRelease implements Gate: hooks fire whenever a credit return lands.
 func (g *BufferGate) OnRelease(fn func()) { g.onRelease = append(g.onRelease, fn) }
 
-// TryReserve implements Gate.
-func (g *BufferGate) TryReserve(vl ib.VL, bytes units.ByteSize) bool {
+// Fits implements Gate. It feeds the offered-rate estimator as the
+// reservation it tests would (see OnArrive): a denial means the sender is
+// credit-limited, and a fit lowers the low-water mark to what the
+// reservation would leave.
+func (g *BufferGate) Fits(vl ib.VL, bytes units.ByteSize) bool {
 	s := &g.vls[vl]
 	if len(s.waiters) > 0 || s.avail < bytes {
-		s.minAvail = 0 // a denied request means the sender is credit-limited
+		s.minAvail = 0
 		return false
 	}
-	s.takeAvail(bytes)
+	if left := s.avail - bytes; left < s.minAvail {
+		s.minAvail = left
+	}
 	return true
 }
 
-// ReserveForWaiter implements Gate.
+// TryReserve implements Gate.
+func (g *BufferGate) TryReserve(vl ib.VL, bytes units.ByteSize) bool {
+	if !g.Fits(vl, bytes) {
+		return false
+	}
+	g.vls[vl].takeAvail(bytes)
+	return true
+}
+
+// ReserveForWaiter implements Gate. A request that has to queue has
+// already marked the sender credit-limited through TryReserve's denial.
 func (g *BufferGate) ReserveForWaiter(vl ib.VL, bytes units.ByteSize, w Waiter) {
-	s := &g.vls[vl]
-	if len(s.waiters) == 0 && s.avail >= bytes {
-		s.takeAvail(bytes)
+	if g.TryReserve(vl, bytes) {
 		w.CreditGranted()
 		return
 	}
-	s.minAvail = 0 // a queued waiter means the sender is credit-limited
-	s.hadWaiters = true
-	s.waiters = append(s.waiters, waiter{bytes: bytes, w: w})
-}
-
-// Unreserve returns a reservation that will not be used (an arbitration
-// candidate that lost). The bytes go straight back to the available pool
-// and any waiters are re-examined.
-//
-// Unlike scheduleRelease, Unreserve deliberately does NOT fire the
-// onRelease hooks, and under the current wiring that is safe. Each gate
-// guards one ingress buffer fed by exactly one transmitter. Gates whose
-// transmitter is an RNIC (the only users of ReserveForWaiter, hence the
-// only gates with waiters) never see Unreserve, because RNIC egress is
-// a wire, not an arbiter. Gates whose transmitter is a switch egress port
-// see Unreserve only from that port's own pick(): the pick always ends by
-// transmitting the winning candidate, which re-schedules the same port's
-// next evaluation — the exact work the onRelease hook would have queued —
-// so firing hooks here would only add a redundant same-timestamp wake-up.
-// If gates ever gain multiple reservers (e.g. shared output buffers),
-// Unreserve must notify hooks like scheduleRelease does;
-// TestTrunkArbitrationUnreserveNoStall (internal/topology) guards the
-// current contract end to end, and the hadWaiters check below promotes the
-// single-reserver assumption to an always-on invariant: a gate that has
-// ever queued a waiter is RNIC-fed, and an Unreserve on it means a second
-// reserver appeared whose hooks (and waiters' wake-ups) would be skipped.
-func (g *BufferGate) Unreserve(vl ib.VL, bytes units.ByteSize) {
 	s := &g.vls[vl]
-	if s.hadWaiters {
-		invariant(g.eng, g.name, "Unreserve(vl=%d) on a VL that has queued waiters — hook-skipping is only safe under single-reserver wiring (see Unreserve doc)", vl)
-	}
-	if s.reserved < bytes {
-		invariant(g.eng, g.name, "unreserve of %v exceeds reserved %v on vl %d", bytes, s.reserved, vl)
-	}
-	s.reserved -= bytes
-	s.avail += bytes
-	s.grantWaiters()
+	s.waiters = append(s.waiters, waiter{bytes: bytes, w: w})
 }
 
 // Occupancy reports the bytes currently resident in the VL's buffer.

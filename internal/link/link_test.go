@@ -88,6 +88,64 @@ func newGate(eng *sim.Engine, window units.ByteSize) *BufferGate {
 	return NewBufferGate(eng, 10*units.Nanosecond, func(ib.VL) units.ByteSize { return window })
 }
 
+// TestGateFits: Fits answers what TryReserve would without taking credit,
+// on every gate a switch egress arbitrates over. On a BufferGate it still
+// feeds the offered-rate estimator as TryReserve does: a denial marks the
+// sender credit-limited (minAvail 0), a fit lowers the low-water mark to
+// what the reservation would leave.
+func TestGateFits(t *testing.T) {
+	var u Unlimited
+	if !u.Fits(0, 1<<40) {
+		t.Error("unlimited gate refused a fit")
+	}
+
+	g := newGate(sim.New(), 1000)
+	if !g.Fits(0, 1000) || g.Available(0) != 1000 {
+		t.Fatalf("BufferGate fit of the whole window: avail %d, want 1000 untouched", g.Available(0))
+	}
+	if g.vls[0].minAvail != 0 {
+		t.Errorf("minAvail = %d after a fit that would empty the window, want 0", g.vls[0].minAvail)
+	}
+	g = newGate(sim.New(), 1000)
+	if !g.TryReserve(0, 300) || !g.Fits(0, 500) {
+		t.Fatal("BufferGate refused a fit within the window")
+	}
+	if g.Available(0) != 700 {
+		t.Errorf("avail = %d after a fit, want 700 (fit must take no credit)", g.Available(0))
+	}
+	if g.vls[0].minAvail != 200 {
+		t.Errorf("minAvail = %d after fitting 500 B into 700 B, want 200", g.vls[0].minAvail)
+	}
+	if g.Fits(0, 701) {
+		t.Fatal("BufferGate fit more than its available credit")
+	}
+	if g.vls[0].minAvail != 0 {
+		t.Errorf("minAvail = %d after a denied fit, want 0", g.vls[0].minAvail)
+	}
+	if g.Available(0) != 700 {
+		t.Errorf("avail = %d after a denied fit, want 700", g.Available(0))
+	}
+	g.ReserveForWaiter(0, 800, waiterFunc(func() {}))
+	if g.Fits(0, 1) {
+		t.Error("BufferGate fit ahead of a queued waiter")
+	}
+
+	x := NewCrossSendGate(func(ib.VL) units.ByteSize { return 100 })
+	if !x.Fits(1, 100) || x.Available(1) != 100 {
+		t.Fatalf("CrossSendGate fit of the whole window: avail %d, want 100 untouched", x.Available(1))
+	}
+	if !x.TryReserve(1, 60) || x.Fits(1, 41) || !x.Fits(1, 40) {
+		t.Fatal("CrossSendGate fit disagrees with its remaining 40 B of credit")
+	}
+	x.ReserveForWaiter(1, 50, waiterFunc(func() {}))
+	if x.Fits(1, 1) {
+		t.Error("CrossSendGate fit ahead of a queued waiter")
+	}
+	if x.Available(1) != 40 {
+		t.Errorf("CrossSendGate avail = %d, want 40 (fits take no credit)", x.Available(1))
+	}
+}
+
 func TestGateReserveAndRelease(t *testing.T) {
 	eng := sim.New()
 	g := newGate(eng, 1000)
@@ -411,25 +469,4 @@ func TestGateWaiterImmediateGrant(t *testing.T) {
 	if g.Available(0) != 600 {
 		t.Fatalf("available = %d after immediate waiter grant, want 600", g.Available(0))
 	}
-}
-
-// Unreserve's hook-skipping is documented safe only under single-reserver
-// wiring: a gate that queues waiters is RNIC-fed and must never see
-// Unreserve (only arbitrating switch egresses call it, and their gates
-// never queue). The invariant is checked always-on; this test trips it.
-func TestUnreserveOnWaitedVLPanics(t *testing.T) {
-	eng := sim.New()
-	g := newGate(eng, 1000)
-	if !g.TryReserve(0, 800) {
-		t.Fatal("reserve failed")
-	}
-	// Exhaust the window so the next reservation queues: the VL now has
-	// (and latches) waiters, marking the gate RNIC-fed.
-	g.ReserveForWaiter(0, 400, waiterFunc(func() {}))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Unreserve on a VL with queued waiters did not panic")
-		}
-	}()
-	g.Unreserve(0, 800)
 }

@@ -86,9 +86,6 @@ func (r *RNIC) EnableReliability(ackTimeout units.Duration, maxRetries int) {
 	}
 }
 
-// ReliabilityEnabled reports whether RC reliability is armed.
-func (r *RNIC) ReliabilityEnabled() bool { return r.rel != nil }
-
 // RelStats snapshots the reliability counters (zero when disabled).
 func (r *RNIC) RelStats() RelStats {
 	if r.rel == nil {

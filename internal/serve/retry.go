@@ -1,59 +1,15 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"time"
 )
 
-// The job error taxonomy. Every job failure is either transient — worth
-// retrying under the bounded backoff policy — or terminal, which fails the
-// job's row immediately. The default classification is terminal: almost
-// every error a deterministic simulation can produce (validation, topology
-// construction, a contained panic) will recur on retry, so retrying it
-// only burns capacity. The recognized transients are an expired per-job
-// deadline (context.DeadlineExceeded — wall-clock pressure, not a property
-// of the spec) and anything explicitly wrapped with Transient (the escape
-// hatch for future remote transports and for tests).
-
-// terminalError pins an error as never-retryable even if a transient
-// error is wrapped somewhere inside it.
-type terminalError struct{ err error }
-
-func (e *terminalError) Error() string { return e.err.Error() }
-func (e *terminalError) Unwrap() error { return e.err }
-
-// Terminal marks err as never-retryable.
-func Terminal(err error) error { return &terminalError{err: err} }
-
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient marks err as retryable under the server's retry policy.
-func Transient(err error) error { return &transientError{err: err} }
-
-// IsTransient reports whether err is worth retrying: explicitly marked
-// transient, or an expired deadline — unless something pinned it terminal.
-func IsTransient(err error) bool {
-	var term *terminalError
-	if errors.As(err, &term) {
-		return false
-	}
-	var tr *transientError
-	if errors.As(err, &tr) {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded)
-}
-
-// RetryPolicy bounds how transient job failures are retried.
+// RetryPolicy bounds how job attempts that ran out of their JobDeadline
+// are retried.
 type RetryPolicy struct {
 	// MaxRetries is the number of re-attempts after the first try
-	// (0 = fail on the first transient error).
+	// (0 = fail on the first expired deadline).
 	MaxRetries int
 	// BaseDelay is the backoff before the first retry; each further retry
 	// doubles it, capped at MaxDelay.

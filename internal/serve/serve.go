@@ -9,8 +9,9 @@
 //
 //   - Per-job panic isolation: a poisoned grid point fails its own row
 //     (with the stack attached) instead of the process.
-//   - Per-job deadlines and a bounded retry/backoff policy for transient
-//     failures; terminal failures (validation, panics) never retry.
+//   - Per-job deadlines, with bounded retry/backoff for an attempt whose
+//     deadline expired; any other failure (validation, a panic) would
+//     recur, so it fails the job at once.
 //   - Bounded admission: at most MaxRunning sweeps run while MaxQueued
 //     wait; beyond that the server sheds load with 429 + Retry-After
 //     instead of accumulating unbounded work.
@@ -65,10 +66,11 @@ type Config struct {
 	// it POSTs are shed with 429.
 	MaxQueued int
 	// JobDeadline caps one job attempt's wall-clock time; an expired
-	// deadline aborts the simulation at its next interrupt poll and
-	// counts as a transient failure. 0 = no deadline.
+	// deadline aborts the simulation at its next interrupt poll, and the
+	// attempt is retried under Retry. 0 = no deadline.
 	JobDeadline time.Duration
-	// Retry bounds transient-failure retries (default: DefaultRetryPolicy).
+	// Retry bounds the retries of attempts whose JobDeadline expired, the
+	// only failure serve retries (default: DefaultRetryPolicy).
 	Retry RetryPolicy
 	// Workers sizes each sweep's job pool (default GOMAXPROCS).
 	Workers int

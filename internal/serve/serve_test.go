@@ -283,20 +283,22 @@ func TestServeDeadlineRowError(t *testing.T) {
 	}
 }
 
-// TestServeTransientRetry: a transiently failing job succeeds on retry
-// and the stream comes out clean.
+// TestServeTransientRetry: a job whose attempts run out of their deadline
+// succeeds on retry and the stream comes out clean.
 func TestServeTransientRetry(t *testing.T) {
 	var calls atomic.Int64
 	runner := func(ctx context.Context, p experiments.Point, opts experiments.Options, seed uint64) (experiments.Result, error) {
 		if calls.Add(1) <= 2 {
-			return experiments.Result{}, Transient(errors.New("flaky backend"))
+			<-ctx.Done() // wait out the job deadline
+			return experiments.Result{}, ctx.Err()
 		}
 		return experiments.Result{Total: 7}, nil
 	}
 	srv, ts := newTestServer(t, Config{
-		Retry:   RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond},
-		Workers: 1,
-		Runner:  runner,
+		JobDeadline: 20 * time.Millisecond,
+		Retry:       RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond},
+		Workers:     1,
+		Runner:      runner,
 	})
 	status, body, _ := post(t, ts.URL, testQuery, testSpec)
 	if status != http.StatusOK {
@@ -314,13 +316,14 @@ func TestServeTransientRetry(t *testing.T) {
 	}
 }
 
-// TestServeTerminalNoRetry: terminal failures never retry, even when the
-// error wraps something transient-looking.
+// TestServeTerminalNoRetry: only an attempt whose own deadline expired
+// retries; a runner error that merely wraps context.DeadlineExceeded fails
+// its job at once.
 func TestServeTerminalNoRetry(t *testing.T) {
 	var calls atomic.Int64
 	runner := func(ctx context.Context, p experiments.Point, opts experiments.Options, seed uint64) (experiments.Result, error) {
 		calls.Add(1)
-		return experiments.Result{}, Terminal(fmt.Errorf("bad point: %w", context.DeadlineExceeded))
+		return experiments.Result{}, fmt.Errorf("bad point: %w", context.DeadlineExceeded)
 	}
 	srv, ts := newTestServer(t, Config{
 		Retry:   RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond},
@@ -394,7 +397,7 @@ func TestServeResumeAfterRestart(t *testing.T) {
 	}
 	crashy := func(ctx context.Context, p experiments.Point, opts experiments.Options, seed uint64) (experiments.Result, error) {
 		if calls.Add(1) > 2 {
-			return experiments.Result{}, Terminal(errors.New("injected crash"))
+			return experiments.Result{}, errors.New("injected crash")
 		}
 		return real(ctx, p, opts, seed)
 	}
@@ -547,7 +550,7 @@ func TestServeErrorLineNamesLowestSeed(t *testing.T) {
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
-		return experiments.Result{}, Terminal(fmt.Errorf("bad seed %d", seed))
+		return experiments.Result{}, fmt.Errorf("bad seed %d", seed)
 	}
 	_, ts := newTestServer(t, Config{Workers: 2, Runner: runner})
 	status, body, _ := post(t, ts.URL, testQuery, testSpec)

@@ -171,16 +171,19 @@ func cause(jobCtx, dispatch context.Context) error {
 	return errors.New("dispatch stopped")
 }
 
-// runJob runs one (point, seed) job under the retry policy: transient
-// failures back off and retry up to MaxRetries times; terminal failures
-// and parent cancellation return immediately.
+// runJob runs one (point, seed) job under the retry policy. Only an
+// attempt whose own deadline expired retries — wall-clock pressure, not a
+// property of the spec — after a backoff, up to MaxRetries times. Every
+// other failure would recur on retry (a deterministic simulation
+// reproduces its error), so it returns at once, as does parent
+// cancellation.
 func (s *Server) runJob(ctx context.Context, p experiments.Point, opts experiments.Options, seed uint64) (experiments.Result, error) {
 	for attempt := 0; ; attempt++ {
-		res, err := s.safeRun(ctx, p, opts, seed)
+		res, expired, err := s.safeRun(ctx, p, opts, seed)
 		if err == nil {
 			return res, nil
 		}
-		if ctx.Err() != nil || !IsTransient(err) || attempt >= s.cfg.Retry.MaxRetries {
+		if !expired || ctx.Err() != nil || attempt >= s.cfg.Retry.MaxRetries {
 			return res, err
 		}
 		s.retries.Add(1)
@@ -197,9 +200,10 @@ func (s *Server) runJob(ctx context.Context, p experiments.Point, opts experimen
 }
 
 // safeRun executes one job attempt: the per-job deadline applies, and a
-// panic anywhere inside the simulation becomes a terminal job error
-// carrying the stack instead of taking down the process.
-func (s *Server) safeRun(parent context.Context, p experiments.Point, opts experiments.Options, seed uint64) (res experiments.Result, err error) {
+// panic anywhere inside the simulation becomes a job error carrying the
+// stack instead of taking down the process. expired reports that the
+// attempt failed after its own deadline fired with the parent still live.
+func (s *Server) safeRun(parent context.Context, p experiments.Point, opts experiments.Options, seed uint64) (res experiments.Result, expired bool, err error) {
 	ctx := parent
 	cancel := context.CancelFunc(func() {})
 	if s.cfg.JobDeadline > 0 {
@@ -209,14 +213,15 @@ func (s *Server) safeRun(parent context.Context, p experiments.Point, opts exper
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
-			err = Terminal(fmt.Errorf("serve: job (seed %d) panicked: %v\n%s", seed, r, debug.Stack()))
+			err = fmt.Errorf("serve: job (seed %d) panicked: %v\n%s", seed, r, debug.Stack())
 		}
 	}()
 	res, err = s.cfg.Runner(ctx, p, opts, seed)
 	if err != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) && parent.Err() == nil {
 		err = fmt.Errorf("serve: job deadline %v exceeded: %w", s.cfg.JobDeadline, context.DeadlineExceeded)
+		expired = true
 	}
-	return res, err
+	return res, expired, err
 }
 
 // mergedContext derives a context cancelled when either parent is. The

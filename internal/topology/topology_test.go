@@ -298,16 +298,15 @@ func TestFatTreePerTierLinks(t *testing.T) {
 	}
 }
 
-// Unreserve audit (see link.BufferGate.Unreserve): when several input
-// ports compete for a trunk egress, every arbitration round tentatively
-// reserves downstream credits for all candidates and returns the losers'
-// bytes without firing the gate's release hooks. This drives that path hard
-// across a real multi-switch fabric — three upstream senders pushing
-// cross-trunk bulk flows plus a fourth small-message flow — and checks that
-// nothing stalls: if a returned reservation ever needed to fire hooks to
-// keep the fabric moving, the quiescent drain below would hang (messages
-// would never complete) rather than finish.
-func TestTrunkArbitrationUnreserveNoStall(t *testing.T) {
+// Trunk arbitration across a real multi-switch fabric: three upstream
+// senders push cross-trunk bulk flows plus a fourth small-message flow, so
+// trunk egresses arbitrate among several inputs while their downstream
+// credit runs short. A head that does not fit the downstream gate is left
+// for the gate's release hook, which re-kicks the egress when credit
+// returns; if a return ever failed to re-arm a waiting egress, the
+// quiescent drain below would hang (messages would never complete) rather
+// than finish.
+func TestTrunkArbitrationNoStall(t *testing.T) {
 	c := topology.TwoTier(model.HWTestbed(), 3, 4, 11)
 	type flow struct {
 		src, dst int
