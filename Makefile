@@ -116,13 +116,14 @@ smoke-serve:
 
 # golden regenerates every golden file under internal/experiments/testdata
 # (the fig7a, incast, bigfabric, slicing, fault and loadlatency sweeps, and
-# registry.golden: all registered tables over three seeds) and
+# registry.golden: all registered tables over three seeds),
 # internal/topology/testdata/construction.golden (switch names and ports,
-# the link registry and RNG streams of nine fabrics) after an intentional
-# model change.
+# the link registry and RNG streams of nine fabrics) and routes.golden
+# beside it (every switch's egress and failover ports for every
+# destination of the same fabrics) after an intentional model change.
 golden:
 	$(GO) test ./internal/experiments/ -run 'GoldenFile' -update
-	$(GO) test ./internal/topology/ -run 'ConstructionGolden' -update
+	$(GO) test ./internal/topology/ -run 'ConstructionGolden|RoutesGolden' -update
 
 # parity checks that the working tree's CLI output is byte-identical to
 # BASE's (a git revision, default HEAD): BASE's ibsim is built from

@@ -361,6 +361,16 @@ func (sw *Switch) SetRoute(node ib.NodeID, port int) {
 	sw.routes[node] = port
 }
 
+// Route returns dest's egress port and its failover ports (nil for no
+// group), or port -1 when dest has no route (diagnostics and tests).
+func (sw *Switch) Route(dest ib.NodeID) (port int, failover []int) {
+	port, ok := sw.routes[dest]
+	if !ok {
+		return -1, nil
+	}
+	return port, sw.uplinks[dest]
+}
+
 // AttachPeer wires port i's egress to a peer endpoint on this switch's
 // engine whose ingress credits are controlled by peerGate (nil for an
 // RNIC, which never back-pressures).

@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -8,12 +9,66 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ib"
 	"repro/internal/model"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// goldenFabric is one fabric the construction goldens pin.
+type goldenFabric struct {
+	name  string
+	build func() (*topology.Cluster, error)
+	big   bool // 512 hosts: the routes golden records a digest, not rows
+}
+
+// goldenFabrics lists the nine fabrics both construction goldens build:
+// every legacy shape, spineless and spine fabrics with trunks, three-tier
+// fabrics with core trunks, and the 512-host fabric at shards 1 and 4.
+func goldenFabrics() []goldenFabric {
+	par := model.HWTestbed()
+	coreLink := model.LinkParams{Bandwidth: 56 * units.Gbps, Propagation: 100 * units.Nanosecond}
+	big := topology.FatTreeSpec{Tiers: 3, Pods: 8, Leaves: 8, HostsPerLeaf: 8, Spines: 4, CoreLink: &coreLink}
+	fatTree := func(spec topology.FatTreeSpec) func() (*topology.Cluster, error) {
+		return func() (*topology.Cluster, error) { return topology.FatTree(par, spec, 1) }
+	}
+	return []goldenFabric{
+		{"star", func() (*topology.Cluster, error) { return topology.Star(par, 7, 1), nil }, false},
+		{"twotier", func() (*topology.Cluster, error) { return topology.TwoTier(par, 3, 4, 1), nil }, false},
+		{"1x5", fatTree(topology.FatTreeSpec{Leaves: 1, HostsPerLeaf: 5}), false},
+		{"2x3 spineless, 2 trunks", fatTree(topology.FatTreeSpec{Leaves: 2, HostsPerLeaf: 3, Trunks: 2}), false},
+		{"3x3+2s, 2 trunks", fatTree(topology.FatTreeSpec{Leaves: 3, HostsPerLeaf: 3, Spines: 2, Trunks: 2}), false},
+		{"2p2x2+1s", fatTree(topology.FatTreeSpec{Tiers: 3, Pods: 2, Leaves: 2, HostsPerLeaf: 2, Spines: 1}), false},
+		{"3p2x2+2s, 3 cores, 2 core trunks", fatTree(topology.FatTreeSpec{Tiers: 3, Pods: 3, Leaves: 2, HostsPerLeaf: 2, Spines: 2, Cores: 3, CoreTrunks: 2}), false},
+		{"512 hosts, shards 1", func() (*topology.Cluster, error) { return topology.FatTree3(par, big, 1, 1) }, true},
+		{"512 hosts, shards 4", func() (*topology.Cluster, error) { return topology.FatTree3(par, big, 1, 4) }, true},
+	}
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("fabric construction diverged from %s (regenerate with -update if the change is intentional)", path)
+	}
+}
 
 // TestFabricConstructionGolden pins what a fabric's construction order
 // decides and no experiment table shows directly: switch names and port
@@ -24,28 +79,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // moved reseeds every later one). Regenerate testdata/construction.golden
 // with -update only after an intentional change to how fabrics are built.
 func TestFabricConstructionGolden(t *testing.T) {
-	par := model.HWTestbed()
-	coreLink := model.LinkParams{Bandwidth: 56 * units.Gbps, Propagation: 100 * units.Nanosecond}
-	big := topology.FatTreeSpec{Tiers: 3, Pods: 8, Leaves: 8, HostsPerLeaf: 8, Spines: 4, CoreLink: &coreLink}
-	fatTree := func(spec topology.FatTreeSpec) func() (*topology.Cluster, error) {
-		return func() (*topology.Cluster, error) { return topology.FatTree(par, spec, 1) }
-	}
-	fabrics := []struct {
-		name  string
-		build func() (*topology.Cluster, error)
-	}{
-		{"star", func() (*topology.Cluster, error) { return topology.Star(par, 7, 1), nil }},
-		{"twotier", func() (*topology.Cluster, error) { return topology.TwoTier(par, 3, 4, 1), nil }},
-		{"1x5", fatTree(topology.FatTreeSpec{Leaves: 1, HostsPerLeaf: 5})},
-		{"2x3 spineless, 2 trunks", fatTree(topology.FatTreeSpec{Leaves: 2, HostsPerLeaf: 3, Trunks: 2})},
-		{"3x3+2s, 2 trunks", fatTree(topology.FatTreeSpec{Leaves: 3, HostsPerLeaf: 3, Spines: 2, Trunks: 2})},
-		{"2p2x2+1s", fatTree(topology.FatTreeSpec{Tiers: 3, Pods: 2, Leaves: 2, HostsPerLeaf: 2, Spines: 1})},
-		{"3p2x2+2s, 3 cores, 2 core trunks", fatTree(topology.FatTreeSpec{Tiers: 3, Pods: 3, Leaves: 2, HostsPerLeaf: 2, Spines: 2, Cores: 3, CoreTrunks: 2})},
-		{"512 hosts, shards 1", func() (*topology.Cluster, error) { return topology.FatTree3(par, big, 1, 1) }},
-		{"512 hosts, shards 4", func() (*topology.Cluster, error) { return topology.FatTree3(par, big, 1, 4) }},
-	}
 	var b strings.Builder
-	for _, f := range fabrics {
+	for _, f := range goldenFabrics() {
 		c, err := f.build()
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
@@ -64,23 +99,39 @@ func TestFabricConstructionGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "root draw: %016x\n", c.RNG("construction-golden").Uint64())
 	}
-	got := b.String()
+	checkGolden(t, "construction.golden", b.String())
+}
 
-	path := filepath.Join("testdata", "construction.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+// TestFabricRoutesGolden pins every forwarding decision the builder makes:
+// for each switch in Cluster.Switches order and each destination node, the
+// egress port and the failover ports a downed primary spreads over. The
+// experiment goldens cover only the destinations their traffic reaches;
+// this covers every (switch, destination) pair. A 512-host fabric is
+// recorded as its row count and the SHA-256 of its rows. Regenerate
+// testdata/routes.golden with -update only after an intentional change to
+// routing.
+func TestFabricRoutesGolden(t *testing.T) {
+	var b strings.Builder
+	for _, f := range goldenFabrics() {
+		c, err := f.build()
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
+		var rows strings.Builder
+		n := 0
+		for _, sw := range c.Switches {
+			for d := range c.NICs {
+				port, failover := sw.Route(ib.NodeID(d))
+				fmt.Fprintf(&rows, "  %s n%d -> %d %v\n", sw.Name(), d, port, failover)
+				n++
+			}
 		}
-		return
+		fmt.Fprintf(&b, "== %s\nroutes (%d):", f.name, n)
+		if f.big {
+			fmt.Fprintf(&b, " sha256 %x\n", sha256.Sum256([]byte(rows.String())))
+			continue
+		}
+		fmt.Fprintf(&b, "\n%s", rows.String())
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("fabric construction diverged from %s (regenerate with -update if the change is intentional)", path)
-	}
+	checkGolden(t, "routes.golden", b.String())
 }
