@@ -30,9 +30,10 @@ bench-queue:
 	$(GO) test -run XXX -bench 'BenchmarkQueue' -benchtime 2s ./internal/sim/
 
 # test-alloc runs the allocation-regression tests: the steady-state hot
-# path (forwarding, converged traffic, incast) must stay at 0 allocs/packet.
+# path (forwarding, converged traffic, incast) must stay at 0 allocs/packet,
+# and one 512-host fabric build within its bytes and allocations budget.
 test-alloc:
-	$(GO) test -run 'ZeroAlloc' -v .
+	$(GO) test -run 'ZeroAlloc|BuildBudget' -v .
 
 # test-shard runs the sharded-execution equivalence suite under -race: the
 # conservative coordinator's epoch loop on the calling goroutine and on the

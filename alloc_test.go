@@ -1,15 +1,20 @@
 // Allocation-regression tests: the lock that keeps the hot path at zero
-// allocations per packet (ISSUE 3 / DESIGN.md "Hot-path memory discipline").
+// allocations per packet (DESIGN.md "Hot-path memory discipline"), and the
+// budget that keeps building the largest benchmarked fabric cheap.
 //
-// Each test builds a fabric, runs it well past every transient that
-// legitimately allocates — pipeline fill, pool and ring growth, the credit
-// gate's rate-estimation windows — and then asserts with
+// Each ZeroAlloc test builds a fabric, runs it well past every transient
+// that legitimately allocates — pipeline fill, pool and ring growth, the
+// credit gate's rate-estimation windows — and then asserts with
 // testing.AllocsPerRun that continuing the simulation performs zero heap
 // allocations. Any future closure capture, map literal, or growing append
 // on a per-packet path fails these tests immediately.
+//
+// TestBuildBudgetFatTree512 bounds the bytes and allocations of one
+// 512-host fabric build, which every job of a 512-host sweep pays.
 package repro_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -130,5 +135,42 @@ func TestZeroAllocShardedFatTree(t *testing.T) {
 	}
 	if allocs := measureSteadyState(t, c, units.Time(2*units.Millisecond), 20*units.Microsecond); allocs != 0 {
 		t.Fatalf("sharded fat-tree incast: %.2f allocs per steady-state step, want 0", allocs)
+	}
+}
+
+// TestBuildBudgetFatTree512 bounds what building the 512-host three-tier
+// fat-tree on four shards allocates (the fattree512 fabric of the
+// loadlatency sweep, rebuilt by every job). Each switch's forwarding table
+// is one slice sized at construction; a per-destination map in its place,
+// for routes or for failover groups, costs several MB per build and fails
+// the bytes bound. Measured: 5.39 MB and 25,999 allocations per build; the
+// bounds sit under 10% above that.
+func TestBuildBudgetFatTree512(t *testing.T) {
+	coreLink := model.LinkParams{Bandwidth: 56 * units.Gbps, Propagation: 100 * units.Nanosecond}
+	spec := topology.FatTreeSpec{Tiers: 3, Pods: 8, Leaves: 8, HostsPerLeaf: 8, Spines: 4, CoreLink: &coreLink}
+	build := func() {
+		if _, err := topology.FatTree3(model.HWTestbed(), spec, 1, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 3
+	const maxBytes, maxAllocs = 5_900_000, 28_500
+	build() // warm-up: first-use allocations are not per build
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > maxBytes {
+		t.Errorf("512-host build: %d bytes, budget %d", bytes, maxBytes)
+	}
+	// The race detector's sync.Pool drops items at random, so the
+	// allocation count (fmt's printers) varies from run to run there.
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(runs, build); allocs > maxAllocs {
+		t.Errorf("512-host build: %.0f allocations, budget %d", allocs, maxAllocs)
 	}
 }

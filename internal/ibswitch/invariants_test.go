@@ -79,7 +79,7 @@ func TestPropertyTokenBucketRetryTimeSuffices(t *testing.T) {
 
 func propSwitch(t *testing.T, ports int) *Switch {
 	t.Helper()
-	return New(sim.New(), "prop", model.HWTestbed().Switch, ports, rng.New(1))
+	return New(sim.New(), "prop", model.HWTestbed().Switch, ports, ports, rng.New(1))
 }
 
 func mkCandidate(inPort int, vl ib.VL, arrival units.Time, size units.ByteSize) candidate {

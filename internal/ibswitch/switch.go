@@ -15,6 +15,7 @@ package ibswitch
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/ib"
 	"repro/internal/link"
@@ -198,19 +199,18 @@ type Switch struct {
 	// tables.
 	listed [ib.NumVLs]bool
 	ports  []*Port
-	routes map[ib.NodeID]int
+	// routes is the linear forwarding table, indexed by destination node
+	// as a real switch indexes its LFT by DLID.
+	routes []route
 	limits [ib.NumVLs]*tokenBucket
 	name   string
 
 	// Failover state (fault runs only; zero cost otherwise — deliver and
 	// pick guard on downCount > 0 / portDown non-nil). portDown marks
-	// egress ports that must not start new transmissions; uplinks maps a
-	// destination to the port group destination-modulo routing may fall
-	// over to while its primary is down (the topology registers shared
-	// slices, one per routing group). downCount counts true entries.
+	// egress ports that must not start new transmissions; downCount
+	// counts true entries.
 	portDown  []bool
 	downCount int
-	uplinks   map[ib.NodeID][]int
 	// FailedOver counts packets whose egress was redirected off a downed
 	// primary (tests and diagnostics).
 	FailedOver uint64
@@ -230,9 +230,14 @@ type Switch struct {
 	EagerWakes bool
 }
 
-// New builds a switch with n ports. The jitter source must be dedicated to
-// this switch for reproducibility.
-func New(eng *sim.Engine, name string, par model.SwitchParams, nPorts int, jitter *rng.Source) *Switch {
+// route is one forwarding-table entry: the egress port, -1 while unset,
+// and the failover range [first, first+n) (n = 0: no group).
+type route struct{ port, first, n int32 }
+
+// New builds a switch with nPorts ports and a forwarding table for the
+// destinations 0..nDests-1, every entry unset. The jitter source must be
+// dedicated to this switch for reproducibility.
+func New(eng *sim.Engine, name string, par model.SwitchParams, nPorts, nDests int, jitter *rng.Source) *Switch {
 	sw := &Switch{
 		eng:    eng,
 		par:    par,
@@ -240,7 +245,7 @@ func New(eng *sim.Engine, name string, par model.SwitchParams, nPorts int, jitte
 		sl2vl:  ib.DefaultSL2VL(),
 		policy: FCFS,
 		vlarb:  ib.SingleVLArb(),
-		routes: make(map[ib.NodeID]int),
+		routes: slices.Repeat([]route{{port: -1}}, nDests),
 		name:   name,
 	}
 	sw.listed = listedVLs(sw.vlarb)
@@ -291,18 +296,6 @@ func listedVLs(cfg ib.VLArbConfig) (listed [ib.NumVLs]bool) {
 	return listed
 }
 
-// SetUplinks declares the failover group for dest: the egress ports over
-// which destination-modulo routing may rebalance while dest's primary port
-// is down. The topology layer registers one shared slice per routing group
-// (per-destination map entries alias it), in construction order, so the
-// grouping is identical at every shard count.
-func (sw *Switch) SetUplinks(dest ib.NodeID, group []int) {
-	if sw.uplinks == nil {
-		sw.uplinks = make(map[ib.NodeID][]int)
-	}
-	sw.uplinks[dest] = group
-}
-
 // SetPortDown marks port i down (no new transmissions start; packets
 // already queued for it wait for the heal) or back up (the egress re-arms
 // and drains). Transitions are scheduled by the fault controller; calling
@@ -323,24 +316,24 @@ func (sw *Switch) SetPortDown(i int, down bool) {
 	sw.kick(sw.ports[i])
 }
 
-// failover redirects a packet for dest off its downed primary port: the
-// surviving ports of the destination's group are counted and the
-// dest-modulo-survivors one is chosen, so the spread stays deterministic
-// and allocation-free. With no registered group or no survivor the primary
-// is kept — the packet queues and waits for the heal.
-func (sw *Switch) failover(dest ib.NodeID, primary int) int {
-	group := sw.uplinks[dest]
+// failover redirects a packet for dest off its downed primary r.port: the
+// surviving ports of the entry's failover range are counted in port order
+// and the dest-modulo-survivors one is chosen, so the spread stays
+// deterministic and allocation-free. With an empty range or no survivor
+// the primary is kept — the packet queues and waits for the heal.
+func (sw *Switch) failover(dest ib.NodeID, r route) int {
+	first, end := int(r.first), int(r.first+r.n)
 	alive := 0
-	for _, p := range group {
+	for p := first; p < end; p++ {
 		if !sw.portDown[p] {
 			alive++
 		}
 	}
 	if alive == 0 {
-		return primary
+		return int(r.port)
 	}
 	k := int(dest) % alive
-	for _, p := range group {
+	for p := first; p < end; p++ {
 		if sw.portDown[p] {
 			continue
 		}
@@ -350,25 +343,35 @@ func (sw *Switch) failover(dest ib.NodeID, primary int) int {
 		}
 		k--
 	}
-	return primary
+	return int(r.port)
 }
 
-// SetRoute directs traffic for node via port.
-func (sw *Switch) SetRoute(node ib.NodeID, port int) {
-	if port < 0 || port >= len(sw.ports) {
+// SetRoute directs traffic for dest out port, with the ports [first,
+// first+n) as its failover group: the egress ports destination-modulo
+// routing may rebalance over while port is down (n = 0: no group).
+func (sw *Switch) SetRoute(dest ib.NodeID, port, first, n int) {
+	switch {
+	case uint(dest) >= uint(len(sw.routes)):
+		panic(fmt.Sprintf("ibswitch %s: route for node %d outside its %d-entry forwarding table", sw.name, dest, len(sw.routes)))
+	case port < 0 || port >= len(sw.ports):
 		panic(fmt.Sprintf("ibswitch %s: route to invalid port %d", sw.name, port))
+	case first < 0 || n < 0 || first+n > len(sw.ports):
+		panic(fmt.Sprintf("ibswitch %s: failover range [%d, %d) outside its %d ports", sw.name, first, first+n, len(sw.ports)))
 	}
-	sw.routes[node] = port
+	sw.routes[dest] = route{port: int32(port), first: int32(first), n: int32(n)}
 }
 
 // Route returns dest's egress port and its failover ports (nil for no
 // group), or port -1 when dest has no route (diagnostics and tests).
 func (sw *Switch) Route(dest ib.NodeID) (port int, failover []int) {
-	port, ok := sw.routes[dest]
-	if !ok {
+	if uint(dest) >= uint(len(sw.routes)) {
 		return -1, nil
 	}
-	return port, sw.uplinks[dest]
+	r := sw.routes[dest]
+	for p := r.first; p < r.first+r.n; p++ {
+		failover = append(failover, int(p))
+	}
+	return int(r.port), failover
 }
 
 // AttachPeer wires port i's egress to a peer endpoint on this switch's
@@ -418,12 +421,13 @@ func (in ingress) DeliverArrival(pkt *ib.Packet, arriveStart, arriveEnd units.Ti
 func (p *Port) deliver(pkt *ib.Packet, arriveStart, arriveEnd units.Time) {
 	ib.AssertLive(pkt)
 	sw := p.sw
-	out, ok := sw.routes[pkt.DestNode]
-	if !ok {
+	if uint(pkt.DestNode) >= uint(len(sw.routes)) || sw.routes[pkt.DestNode].port < 0 {
 		panic(fmt.Sprintf("ibswitch %s: no route for node %d", sw.name, pkt.DestNode))
 	}
+	r := sw.routes[pkt.DestNode]
+	out := int(r.port)
 	if sw.downCount > 0 && sw.portDown[out] {
-		out = sw.failover(pkt.DestNode, out)
+		out = sw.failover(pkt.DestNode, r)
 	}
 	vl := sw.sl2vl.Map(pkt.SL)
 	pkt.VL = vl

@@ -1,6 +1,7 @@
 package ibswitch_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ib"
@@ -33,13 +34,13 @@ func (c *capture) DeliverArrival(p *ib.Packet, s, e units.Time) {
 func newHarness(t *testing.T, par model.SwitchParams, ports int) *harness {
 	t.Helper()
 	h := &harness{eng: sim.New(), out: map[int]*capture{}}
-	h.sw = ibswitch.New(h.eng, "test", par, ports, rng.New(9))
+	h.sw = ibswitch.New(h.eng, "test", par, ports, ports, rng.New(9))
 	lp := model.LinkParams{Bandwidth: 56 * units.Gbps, Propagation: 3 * units.Nanosecond}
 	for i := 0; i < ports; i++ {
 		cap := &capture{}
 		h.out[i] = cap
 		h.sw.AttachPeer(i, lp, cap, link.Unlimited{})
-		h.sw.SetRoute(ib.NodeID(i), i)
+		h.sw.SetRoute(ib.NodeID(i), i, 0, 0)
 	}
 	return h
 }
@@ -100,25 +101,107 @@ func TestCutThroughLatency(t *testing.T) {
 	}
 }
 
+// TestMissingRoutePanics: a packet the forwarding table cannot route
+// panics naming the switch, never with a runtime index error.
 func TestMissingRoutePanics(t *testing.T) {
-	h := newHarness(t, simParams(), 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unrouted destination")
-		}
-	}()
-	h.inject(0, dataTo(77, 64, 0))
-	h.eng.Run()
+	for _, tc := range []struct {
+		name string
+		dest ib.NodeID
+	}{
+		{"destination past the table's end", 5},
+		{"unset entry", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two ports, five destinations, every one but 3 routed.
+			sw := ibswitch.New(sim.New(), "lft", simParams(), 2, 5, rng.New(9))
+			for d := 0; d < 5; d++ {
+				if d != 3 {
+					sw.SetRoute(ib.NodeID(d), d%2, 0, 0)
+				}
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "lft") || !strings.Contains(msg, "no route for node") {
+					t.Fatalf("panic %q, want the switch name and \"no route for node\"", msg)
+				}
+			}()
+			sw.Ingress(0).DeliverArrival(dataTo(tc.dest, 64, 0), 0, 0)
+		})
+	}
 }
 
+// TestInvalidRoutePanics: SetRoute rejects an entry the table cannot hold,
+// naming the switch.
 func TestInvalidRoutePanics(t *testing.T) {
-	h := newHarness(t, simParams(), 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range port")
-		}
-	}()
-	h.sw.SetRoute(5, 9)
+	for _, tc := range []struct {
+		name                string
+		dest                ib.NodeID
+		port, first, ngroup int
+	}{
+		{"port past the last", 1, 9, 0, 0},
+		{"failover range past the last port", 1, 0, 1, 2},
+		{"destination outside the table", 5, 0, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, simParams(), 2)
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "ibswitch test:") {
+					t.Fatalf("panic %q, want one naming the switch", msg)
+				}
+			}()
+			h.sw.SetRoute(tc.dest, tc.port, tc.first, tc.ngroup)
+		})
+	}
+}
+
+// TestFailoverWalksGroupRange: while a route's primary port is down, a
+// packet leaves on the (dest mod survivors)-th surviving port of the
+// entry's failover range, in port order. With every port of the range
+// down, or no range, it keeps its primary and leaves after the heal.
+// FailedOver counts only the redirected packets.
+func TestFailoverWalksGroupRange(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		down      []int
+		dest      ib.NodeID
+		want      int // egress port
+		beforeUp  bool
+		failedOut uint64
+	}{
+		// Survivors 2, 3, 4: dest 2 mod 3 picks the third, port 4.
+		{"primary down", []int{1}, 2, 4, true, 1},
+		{"whole range down", []int{1, 2, 3, 4}, 2, 1, false, 0},
+		{"no range", []int{3}, 3, 3, false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, simParams(), 5)
+			h.sw.SetRoute(2, 1, 1, 4) // primary 1, failover ports 1-4
+			for _, p := range tc.down {
+				h.sw.SetPortDown(p, true)
+			}
+			h.inject(0, dataTo(tc.dest, 64, 0))
+			h.eng.Run()
+			if got := len(h.out[tc.want].pkts) == 1; got != tc.beforeUp {
+				t.Fatalf("port %d forwarded before the heal: %v, want %v", tc.want, got, tc.beforeUp)
+			}
+			for _, p := range tc.down {
+				h.sw.SetPortDown(p, false)
+			}
+			h.eng.Run()
+			for p, c := range h.out {
+				want := 0
+				if p == tc.want {
+					want = 1
+				}
+				if len(c.pkts) != want {
+					t.Fatalf("port %d forwarded %d packets, want %d", p, len(c.pkts), want)
+				}
+			}
+			if h.sw.FailedOver != tc.failedOut {
+				t.Fatalf("FailedOver = %d, want %d", h.sw.FailedOver, tc.failedOut)
+			}
+		})
+	}
 }
 
 func TestFCFSServesOldestAcrossPorts(t *testing.T) {

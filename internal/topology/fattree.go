@@ -280,16 +280,19 @@ type legacyLeaf struct {
 // destination pod via spine dst%Spines. Because every choice is a pure
 // function of the destination, all packets of a flow share one path and
 // arrive in order, and a run's schedule is a pure function of (spec,
-// seed). Alongside each modulo-chosen route the same group of candidate
-// ports is registered as the failover set (one shared slice per group):
-// while the primary is down, new arrivals spread over the survivors.
+// seed). Every switch's forwarding table has one entry per host. Each
+// modulo-chosen entry also names the contiguous port range it was chosen
+// from as its failover range: while the primary is down, new arrivals
+// spread over the range's survivors.
 func (c *Cluster) build(spec FatTreeSpec, plan *PartitionPlan, legacy []legacyLeaf) {
 	hosts := make([]int, spec.Leaves) // below leaf l of every pod
+	podHosts := 0
 	for l := range hosts {
 		hosts[l] = spec.HostsPerLeaf
 		if legacy != nil {
 			hosts[l] = legacy[l].hosts
 		}
+		podHosts += hosts[l]
 	}
 	pods := 1
 	podEng := func(int) *sim.Engine { return c.Eng }
@@ -303,7 +306,7 @@ func (c *Cluster) build(spec FatTreeSpec, plan *PartitionPlan, legacy []legacyLe
 
 	// Switches.
 	newSwitch := func(eng *sim.Engine, name, rngLabel string, ports int) *ibswitch.Switch {
-		sw := ibswitch.New(eng, name, c.Params.Switch, ports, c.RNG(rngLabel))
+		sw := ibswitch.New(eng, name, c.Params.Switch, ports, pods*podHosts, c.RNG(rngLabel))
 		c.Switches = append(c.Switches, sw)
 		return sw
 	}
@@ -388,48 +391,38 @@ func (c *Cluster) build(spec FatTreeSpec, plan *PartitionPlan, legacy []legacyLe
 		}
 	}
 
-	// Routes, for every (switch, destination) pair.
-	upGroup, downGroup := make([][]int, len(hosts)), make([][]int, len(hosts))
-	for l := range hosts {
-		upGroup[l], downGroup[l] = portRange(hosts[l], uplinks), portRange(l*T, T)
+	// Routes, for every (switch, destination) pair. A one-port range holds
+	// only the primary, so it is registered as no failover group.
+	group := func(n int) int {
+		if n > 1 {
+			return n
+		}
+		return 0
 	}
-	coreUpGroup := portRange(len(hosts)*T, coreUplinks)
+	upN, downN, coreUpN, coreDownN := group(uplinks), group(T), group(coreUplinks), group(spec.Spines*CT)
 	node = 0
 	for dp := range leaves {
-		coreDownGroup := portRange(dp*spec.Spines*CT, spec.Spines*CT)
 		for dl := range hosts {
 			for dh := 0; dh < hosts[dl]; dh++ {
 				d := ib.NodeID(node)
 				for p := range leaves {
 					for l, leaf := range leaves[p] {
 						if p == dp && l == dl {
-							leaf.SetRoute(d, dh)
+							leaf.SetRoute(d, dh, 0, 0)
 							continue
 						}
-						leaf.SetRoute(d, hosts[l]+node%uplinks)
-						if len(upGroup[l]) > 1 {
-							leaf.SetUplinks(d, upGroup[l])
-						}
+						leaf.SetRoute(d, hosts[l]+node%uplinks, hosts[l], upN)
 					}
 					for _, spine := range spines[p] {
 						if p == dp {
-							spine.SetRoute(d, dl*T+node%T)
-							if len(downGroup[dl]) > 1 {
-								spine.SetUplinks(d, downGroup[dl])
-							}
+							spine.SetRoute(d, dl*T+node%T, dl*T, downN)
 							continue
 						}
-						spine.SetRoute(d, len(hosts)*T+node%coreUplinks)
-						if len(coreUpGroup) > 1 {
-							spine.SetUplinks(d, coreUpGroup)
-						}
+						spine.SetRoute(d, len(hosts)*T+node%coreUplinks, len(hosts)*T, coreUpN)
 					}
 				}
 				for _, core := range cores {
-					core.SetRoute(d, (dp*spec.Spines+node%spec.Spines)*CT+node%CT)
-					if len(coreDownGroup) > 1 {
-						core.SetUplinks(d, coreDownGroup)
-					}
+					core.SetRoute(d, (dp*spec.Spines+node%spec.Spines)*CT+node%CT, dp*spec.Spines*CT, coreDownN)
 				}
 				node++
 			}

@@ -179,13 +179,3 @@ func (c *Cluster) RelTotals() rnic.RelStats {
 	}
 	return total
 }
-
-// portRange builds the shared port slice [from, from+n) for a failover
-// group registration.
-func portRange(from, n int) []int {
-	ports := make([]int, n)
-	for i := range ports {
-		ports[i] = from + i
-	}
-	return ports
-}
