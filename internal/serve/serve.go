@@ -290,11 +290,36 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.sweepsCompleted.Add(1)
 }
 
-// admit implements bounded admission: at most MaxQueued requests wait for
-// one of the MaxRunning run slots; everything beyond is shed with 429 and
-// a Retry-After hint. On success the caller holds a slot and is counted
-// in the drain WaitGroup.
+// admit implements bounded admission: a request takes a free run slot at
+// once; otherwise at most MaxQueued requests wait for one of the
+// MaxRunning slots, and everything beyond is shed with 429 and a
+// Retry-After hint. On success the caller holds a slot and is counted in
+// the drain WaitGroup.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
+	select {
+	case s.slots <- struct{}{}:
+	default:
+		if !s.wait(w, r) {
+			return false
+		}
+	}
+	// A slot can be won in the same instant drain begins; a sweep
+	// admitted now would only stream an interruption trailer.
+	if s.draining.Load() {
+		<-s.slots
+		http.Error(w, "serve: draining, not admitting sweeps", http.StatusServiceUnavailable)
+		return false
+	}
+	// The slot is held; register with the drain group before returning so
+	// Shutdown cannot miss this sweep.
+	s.sweeps.Add(1)
+	return true
+}
+
+// wait queues a request that found every run slot taken until one frees,
+// shedding it when MaxQueued requests already wait. It reports whether
+// the request now holds a slot.
+func (s *Server) wait(w http.ResponseWriter, r *http.Request) bool {
 	if s.queued.Add(1) > int64(s.cfg.MaxQueued) {
 		s.queued.Add(-1)
 		s.sweepsShed.Add(1)
@@ -306,23 +331,13 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	defer s.queued.Add(-1)
 	select {
 	case s.slots <- struct{}{}:
+		return true
 	case <-r.Context().Done():
 		return false
 	case <-s.dispatchCtx.Done():
 		http.Error(w, "serve: draining, not admitting sweeps", http.StatusServiceUnavailable)
 		return false
 	}
-	// The select can win the slot in the same instant drain begins; a
-	// sweep admitted now would only stream an interruption trailer.
-	if s.draining.Load() {
-		<-s.slots
-		http.Error(w, "serve: draining, not admitting sweeps", http.StatusServiceUnavailable)
-		return false
-	}
-	// The slot is held; register with the drain group before returning so
-	// Shutdown cannot miss this sweep.
-	s.sweeps.Add(1)
-	return true
 }
 
 // runOptions resolves the run options: the `ibsim run` defaults

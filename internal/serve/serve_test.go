@@ -192,6 +192,11 @@ func TestServeQueueFull429(t *testing.T) {
 	release := make(chan struct{})
 	runner, entered := blockingRunner(release)
 	srv, ts := newTestServer(t, Config{MaxRunning: 1, MaxQueued: 1, Workers: 1, Runner: runner})
+	// Unpark the sweeps before the server closes (cleanups run last
+	// first), so a failure below fails the test instead of hanging it.
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unpark)
 
 	type reply struct {
 		status int
@@ -225,7 +230,7 @@ func TestServeQueueFull429(t *testing.T) {
 		t.Errorf("429 body %q does not explain the shed", body)
 	}
 
-	close(release)
+	unpark()
 	for i := 0; i < 2; i++ {
 		r := <-replies
 		if r.status != http.StatusOK {
@@ -237,6 +242,23 @@ func TestServeQueueFull429(t *testing.T) {
 	}
 	if st := srv.Stats(); st.SweepsShed != 1 || st.SweepsCompleted != 2 {
 		t.Fatalf("stats after shedding: %+v", st)
+	}
+}
+
+// TestServeAdmitsToFreeSlot: a POST that finds the run slot free is
+// admitted even with the queue full. Two POSTs reaching an idle server
+// together (MaxRunning 1, MaxQueued 1) pass through this state: the first
+// counted as queued, the slot not yet taken. Counting the second in the
+// queue before it tried the slot shed it with 429.
+func TestServeAdmitsToFreeSlot(t *testing.T) {
+	release := make(chan struct{})
+	close(release)
+	runner, _ := blockingRunner(release)
+	srv, ts := newTestServer(t, Config{MaxRunning: 1, MaxQueued: 1, Workers: 1, Runner: runner})
+	srv.queued.Store(1)
+	status, body, _ := post(t, ts.URL, testQuery, testSpec)
+	if status != http.StatusOK || !strings.Contains(body, `"type":"table"`) {
+		t.Fatalf("POST with a free slot and a full queue: status %d, body %q; want 200 with the table header", status, body)
 	}
 }
 
