@@ -119,13 +119,16 @@ func TestMissingRoutePanics(t *testing.T) {
 					sw.SetRoute(ib.NodeID(d), d%2, 0, 0)
 				}
 			}
+			pkt := dataTo(tc.dest, 64, 0)
+			if !sw.IngressGate(0).TryReserve(0, pkt.WireSize()) {
+				t.Fatal("no ingress credit")
+			}
 			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "lft") || !strings.Contains(msg, "no route for node") {
-					t.Fatalf("panic %q, want the switch name and \"no route for node\"", msg)
+				if msg, _ := recover().(string); !strings.Contains(msg, "ibswitch lft: no route for node") {
+					t.Fatalf("panic %q, want one naming the switch and the missing route", msg)
 				}
 			}()
-			sw.Ingress(0).DeliverArrival(dataTo(tc.dest, 64, 0), 0, 0)
+			sw.Ingress(0).DeliverArrival(pkt, 0, 0)
 		})
 	}
 }

@@ -248,8 +248,8 @@ func TestServeQueueFull429(t *testing.T) {
 // TestServeAdmitsToFreeSlot: a POST that finds the run slot free is
 // admitted even with the queue full. Two POSTs reaching an idle server
 // together (MaxRunning 1, MaxQueued 1) pass through this state: the first
-// counted as queued, the slot not yet taken. Counting the second in the
-// queue before it tried the slot shed it with 429.
+// counted as queued, the slot not yet taken. A second that counted itself
+// in the queue before trying the slot would be shed with 429.
 func TestServeAdmitsToFreeSlot(t *testing.T) {
 	release := make(chan struct{})
 	close(release)
