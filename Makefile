@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench fuzz-spec golden parity smoke-examples smoke-specs smoke-serve ci
+.PHONY: all vet build test race bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench fuzz-spec fuzz-checkpoint golden parity smoke-examples smoke-specs smoke-serve ci
 
 all: vet build test
 
@@ -38,12 +38,13 @@ test-alloc:
 # test-shard runs the sharded-execution equivalence suite under -race: the
 # conservative coordinator's epoch loop on the calling goroutine and on the
 # shard workers (and the density gate between them), the cross-shard
-# wire/credit path, and the byte-equality of shards=1 vs sharded runs at
-# every layer (topology completion times, full experiment tables). -race
-# matters here: the shard workers are the only concurrent code in the
-# simulator core, and these tests drive them with real cross-shard traffic.
+# wire/credit path, the credit-conservation audit of every link at
+# quiescence, and the byte-equality of shards=1 vs sharded runs at every
+# layer (topology completion times, full experiment tables). -race matters
+# here: the shard workers are the only concurrent code in the simulator
+# core, and these tests drive them with real cross-shard traffic.
 test-shard:
-	$(GO) test -race -run 'Shard|CrossWire|CrossGate|FatTree3|RunBefore' \
+	$(GO) test -race -run 'Shard|CrossWire|CrossGate|FatTree3|RunBefore|CreditConservation' \
 		./internal/sim/ ./internal/link/ ./internal/topology/ ./internal/experiments/
 
 # test-debugpackets runs the whole suite with the packet-pool poison mode
@@ -65,6 +66,17 @@ test-perfbench:
 # of a spec is stable.
 fuzz-spec:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 20s ./internal/experiments
+
+# fuzz-checkpoint fuzzes serve's checkpoint journal reader beyond its seed
+# corpus (journals append wrote, torn tails, lines that decode but that
+# append never writes): for any journal bytes, openCheckpoint refuses the
+# journal or keeps a prefix of complete lines, each the marshalled record
+# it restored, and reopening the kept journal changes nothing. Every input
+# costs a file write and two opens, so minimizing one new-coverage input of
+# a kilobyte-long journal would take the whole budget at the default
+# minimization time (60 s); -fuzzminimizetime bounds it.
+fuzz-checkpoint:
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointReopen$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/serve
 
 # test-faults runs the fault-injection and transport-reliability suite:
 # the fault goldens, the shards 1/2/4 x barrier-mode byte-equivalence of
@@ -197,4 +209,4 @@ smoke-specs:
 # ci runs each test once per mode: plain, -race, debugpackets. The focused
 # -race targets above (test-shard, test-faults, test-serve, test-workload)
 # are subsets of race and stay out of ci; they are local shortcuts.
-ci: vet build test race test-alloc test-debugpackets test-perfbench fuzz-spec smoke-examples smoke-serve
+ci: vet build test race test-alloc test-debugpackets test-perfbench fuzz-spec fuzz-checkpoint smoke-examples smoke-serve

@@ -143,8 +143,12 @@ func TestZeroAllocShardedFatTree(t *testing.T) {
 // loadlatency sweep, rebuilt by every job). Each switch's forwarding table
 // is one slice sized at construction; a per-destination map in its place,
 // for routes or for failover groups, costs several MB per build and fails
-// the bytes bound. Measured: 5.39 MB and 25,999 allocations per build; the
-// bounds sit under 10% above that.
+// the bytes bound. Each switch ingress has one credit accounting: a
+// BufferGate on a local link, the split gate's receiver half on a core
+// link, whose ingress builds no BufferGate; an idle BufferGate on each of
+// the 256 core-link ingresses (5.40 MB, 25,999 allocations) fails both
+// bounds. Measured: 4.97 MB and 25,232 allocations per build; the bounds
+// sit under 5% above that.
 func TestBuildBudgetFatTree512(t *testing.T) {
 	coreLink := model.LinkParams{Bandwidth: 56 * units.Gbps, Propagation: 100 * units.Nanosecond}
 	spec := topology.FatTreeSpec{Tiers: 3, Pods: 8, Leaves: 8, HostsPerLeaf: 8, Spines: 4, CoreLink: &coreLink}
@@ -154,7 +158,15 @@ func TestBuildBudgetFatTree512(t *testing.T) {
 		}
 	}
 	const runs = 3
-	const maxBytes, maxAllocs = 5_900_000, 28_500
+	const maxAllocs = 25_800
+	// The race detector's sync.Pool drops items at random, so fmt's
+	// printers are allocated anew there: about 0.33 MB more per build
+	// (5.31 MB; 5.75 MB with the idle gates), and an allocation count that
+	// varies from run to run.
+	maxBytes := uint64(5_200_000)
+	if raceEnabled {
+		maxBytes = 5_550_000
+	}
 	build() // warm-up: first-use allocations are not per build
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -165,8 +177,6 @@ func TestBuildBudgetFatTree512(t *testing.T) {
 	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > maxBytes {
 		t.Errorf("512-host build: %d bytes, budget %d", bytes, maxBytes)
 	}
-	// The race detector's sync.Pool drops items at random, so the
-	// allocation count (fmt's printers) varies from run to run there.
 	if raceEnabled {
 		return
 	}

@@ -117,20 +117,17 @@ func (q *vlQueue) grow() {
 	q.buf, q.head = nb, 0
 }
 
-// Port is one switch port: an ingress side (buffers + credit gate) and an
-// egress side (arbiter state + wire to the attached device).
+// Port is one switch port: an ingress side (buffers + credit accounting)
+// and an egress side (arbiter state + wire to the attached device).
 type Port struct {
 	sw  *Switch
 	idx int
 
-	// Ingress.
-	gate *link.BufferGate
-	// xacct, when non-nil, replaces the port's own BufferGate as the
-	// occupancy bookkeeping the ingress drives on arrival and departure —
-	// the receiver half of a cross-shard credit gate (SetIngressCross).
-	// Nil on every local port, so the common path keeps its direct
-	// devirtualized BufferGate calls and pays one predictable branch.
-	xacct  link.IngressAccounting
+	// Ingress. acct is the occupancy bookkeeping every arrival and
+	// departure drives, installed by SetIngress: the BufferGate the
+	// upstream transmitter reserves from on a local link, or the receiver
+	// half of a cross-shard split gate.
+	acct   link.IngressAccounting
 	queues [ib.NumVLs]vlQueue
 	qbytes [ib.NumVLs]units.ByteSize
 	// vlMask has bit v set iff queues[v] is non-empty — the queue-head
@@ -174,11 +171,7 @@ func (p *Port) HandleEvent(*sim.Event) {
 type departHandler struct{ p *Port }
 
 func (d *departHandler) HandleEvent(ev *sim.Event) {
-	if d.p.xacct != nil {
-		d.p.xacct.OnDepart(ib.VL(ev.A), units.ByteSize(ev.B))
-		return
-	}
-	d.p.gate.OnDepart(ib.VL(ev.A), units.ByteSize(ev.B))
+	d.p.acct.OnDepart(ib.VL(ev.A), units.ByteSize(ev.B))
 }
 
 type vlarbState struct {
@@ -235,8 +228,9 @@ type Switch struct {
 type route struct{ port, first, n int32 }
 
 // New builds a switch with nPorts ports and a forwarding table for the
-// destinations 0..nDests-1, every entry unset. The jitter source must be
-// dedicated to this switch for reproducibility.
+// destinations 0..nDests-1, every entry unset. A port that receives
+// packets needs its ingress accounting installed (SetIngress). The jitter
+// source must be dedicated to this switch for reproducibility.
 func New(eng *sim.Engine, name string, par model.SwitchParams, nPorts, nDests int, jitter *rng.Source) *Switch {
 	sw := &Switch{
 		eng:    eng,
@@ -252,8 +246,6 @@ func New(eng *sim.Engine, name string, par model.SwitchParams, nPorts, nDests in
 	for i := 0; i < nPorts; i++ {
 		p := &Port{sw: sw, idx: i}
 		p.departH.p = p
-		p.gate = link.NewBufferGate(eng, par.CreditReturnDelay, par.WindowFor)
-		p.gate.SetName(fmt.Sprintf("%s.p%d:in", name, i))
 		sw.ports = append(sw.ports, p)
 	}
 	return sw
@@ -392,17 +384,13 @@ func (sw *Switch) AttachWire(i int, w *link.Wire) {
 	p.egate.OnRelease(func() { sw.kick(p) })
 }
 
-// SetIngressCross replaces port i's ingress accounting with the receiver
-// half of a cross-shard credit gate: the upstream transmitter reserves from
-// the remote CrossSendGate, and this port's arrivals/departures drive the
-// credit returns. The port's local BufferGate is left idle.
-func (sw *Switch) SetIngressCross(i int, g link.IngressAccounting) {
-	sw.ports[i].xacct = g
+// SetIngress installs port i's ingress accounting, which the port's
+// arrivals and departures drive: a BufferGate the upstream transmitter
+// reserves from, or the receiver half of a cross-shard split gate whose
+// departures return credit to the remote CrossSendGate.
+func (sw *Switch) SetIngress(i int, acct link.IngressAccounting) {
+	sw.ports[i].acct = acct
 }
-
-// IngressGate exposes port i's ingress credit gate (the upstream
-// transmitter reserves from it).
-func (sw *Switch) IngressGate(i int) *link.BufferGate { return sw.ports[i].gate }
 
 // EgressWire returns port i's egress wire (nil when unattached). The
 // topology layer registers it with the fault controller.
@@ -431,11 +419,7 @@ func (p *Port) deliver(pkt *ib.Packet, arriveStart, arriveEnd units.Time) {
 	}
 	vl := sw.sl2vl.Map(pkt.SL)
 	pkt.VL = vl
-	if p.xacct != nil {
-		p.xacct.OnArrive(vl, pkt.WireSize())
-	} else {
-		p.gate.OnArrive(vl, pkt.WireSize())
-	}
+	p.acct.OnArrive(vl, pkt.WireSize())
 	ready := arriveStart.Add(sw.par.BaseLatency)
 	if sw.par.JitterMean > 0 {
 		ready = ready.Add(units.Duration(sw.jitter.Exp(float64(sw.par.JitterMean))))

@@ -14,10 +14,11 @@ import (
 )
 
 // harness wires a switch with synthetic endpoints so packets can be pushed
-// through specific ports without RNICs.
+// through specific ports without RNICs. in[i] is port i's ingress gate.
 type harness struct {
 	eng *sim.Engine
 	sw  *ibswitch.Switch
+	in  []*link.BufferGate
 	out map[int]*capture
 }
 
@@ -37,6 +38,7 @@ func newHarness(t *testing.T, par model.SwitchParams, ports int) *harness {
 	h.sw = ibswitch.New(h.eng, "test", par, ports, ports, rng.New(9))
 	lp := model.LinkParams{Bandwidth: 56 * units.Gbps, Propagation: 3 * units.Nanosecond}
 	for i := 0; i < ports; i++ {
+		h.in = append(h.in, ingressGate(h.eng, h.sw, i, par))
 		cap := &capture{}
 		h.out[i] = cap
 		h.sw.AttachPeer(i, lp, cap, link.Unlimited{})
@@ -45,10 +47,18 @@ func newHarness(t *testing.T, par model.SwitchParams, ports int) *harness {
 	return h
 }
 
+// ingressGate builds port i's ingress BufferGate and installs it as the
+// port's accounting.
+func ingressGate(eng *sim.Engine, sw *ibswitch.Switch, i int, par model.SwitchParams) *link.BufferGate {
+	g := link.NewBufferGate(eng, par.CreditReturnDelay, par.WindowFor)
+	sw.SetIngress(i, g)
+	return g
+}
+
 // inject delivers a packet to ingress port at the current engine time,
 // reserving credits on the VL the switch will classify the packet into.
 func (h *harness) inject(port int, pkt *ib.Packet) {
-	gate := h.sw.IngressGate(port)
+	gate := h.in[port]
 	if !gate.TryReserve(sl2vl(pkt.SL), pkt.WireSize()) {
 		panic("test harness: no ingress credits")
 	}
@@ -113,14 +123,15 @@ func TestMissingRoutePanics(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Two ports, five destinations, every one but 3 routed.
-			sw := ibswitch.New(sim.New(), "lft", simParams(), 2, 5, rng.New(9))
+			eng := sim.New()
+			sw := ibswitch.New(eng, "lft", simParams(), 2, 5, rng.New(9))
 			for d := 0; d < 5; d++ {
 				if d != 3 {
 					sw.SetRoute(ib.NodeID(d), d%2, 0, 0)
 				}
 			}
 			pkt := dataTo(tc.dest, 64, 0)
-			if !sw.IngressGate(0).TryReserve(0, pkt.WireSize()) {
+			if !ingressGate(eng, sw, 0, simParams()).TryReserve(0, pkt.WireSize()) {
 				t.Fatal("no ingress credit")
 			}
 			defer func() {
@@ -353,7 +364,7 @@ func TestVLArbSharesBandwidthByWeight(t *testing.T) {
 	feed := func(port int, payload units.ByteSize, sl ib.SL) {
 		var post func()
 		post = func() {
-			gate := h.sw.IngressGate(port)
+			gate := h.in[port]
 			pkt := dataTo(2, payload, sl)
 			gate.ReserveForWaiter(sl2vl(sl), pkt.WireSize(), waiterFunc(func() {
 				now := h.eng.Now()
@@ -401,7 +412,7 @@ func TestArbOverheadActiveInputScaling(t *testing.T) {
 			p := p
 			var post func()
 			post = func() {
-				gate := h.sw.IngressGate(p)
+				gate := h.in[p]
 				pkt := dataTo(sink, 4096, 0)
 				gate.ReserveForWaiter(0, pkt.WireSize(), waiterFunc(func() {
 					now := h.eng.Now()
@@ -505,7 +516,7 @@ func TestVLRateLimitCapsThroughput(t *testing.T) {
 	// Feed a continuous stream; delivered rate must respect the cap.
 	var post func()
 	post = func() {
-		gate := h.sw.IngressGate(0)
+		gate := h.in[0]
 		pkt := dataTo(2, 4096, 0)
 		gate.ReserveForWaiter(0, pkt.WireSize(), waiterFunc(func() {
 			now := h.eng.Now()

@@ -2,14 +2,13 @@
 // channel (NewCrossWire): same serialization resource, same propagation
 // delay, same fault handling, but its deliveries travel through the
 // destination shard's mailbox (sim.Chan) instead of being scheduled on its
-// own engine. What sets a cross-shard link apart is its gate, not its
-// wire: the receiving buffer's credit accounting is split into a
-// sender-side window (CrossSendGate) fed by explicit credit messages from
-// the receiver side (CrossRecvGate). CrossSendGate is a complete Gate —
-// Fits, TryReserve, ReserveForWaiter and OnRelease — so a switch egress
-// arbitrates over it exactly as over a local BufferGate: it tests each
-// candidate with Fits, reserves for the winner only, and re-arms from the
-// release hook when a credit message lands.
+// own engine. What sets a cross-shard link apart is how credit comes back,
+// not its wire and not its transmitter: CrossSendGate embeds the same
+// sendWindow as BufferGate — the per-VL window, FIFO waiters, release hooks
+// and the Gate methods — so a switch egress arbitrates over it exactly as
+// over a local BufferGate. Only the receiver side differs: the receiving
+// buffer's occupancy lives in CrossRecvGate on the receiving shard, which
+// returns credit as explicit mailbox messages.
 //
 // The split gate is a plain credit window, not a frozen-occupancy BufferGate:
 // across a cut with positive latency the sender cannot observe the receiver's
@@ -30,9 +29,10 @@ import (
 
 // IngressAccounting is the occupancy bookkeeping a receiving port drives:
 // OnArrive when a packet has fully landed in the ingress buffer, OnDepart
-// when it has left through an egress. BufferGate implements both sides in
-// one object; a cross-shard ingress implements them on CrossRecvGate with
-// the window held by the remote CrossSendGate.
+// when it has left through an egress. Every switch ingress has exactly one:
+// the BufferGate whose sendWindow the upstream transmitter reserves from on
+// a local link, or the CrossRecvGate feeding the remote CrossSendGate on a
+// cross-shard one.
 type IngressAccounting interface {
 	OnArrive(vl ib.VL, bytes units.ByteSize)
 	OnDepart(vl ib.VL, bytes units.ByteSize)
@@ -44,6 +44,7 @@ var (
 	_ Gate              = (*BufferGate)(nil)
 	_ Gate              = (*CrossSendGate)(nil)
 	_ IngressAccounting = (*BufferGate)(nil)
+	_ IngressAccounting = (*CrossRecvGate)(nil)
 )
 
 // NewCrossWire builds a cross-shard wire toward peer: a Wire whose
@@ -58,20 +59,12 @@ func NewCrossWire(eng *sim.Engine, name string, bw units.Bandwidth, prop units.D
 	return w
 }
 
-// xvlSend is the sender-side credit state of one VL of a cross-shard link.
-type xvlSend struct {
-	window  units.ByteSize
-	avail   units.ByteSize
-	waiters []waiter
-}
-
-// CrossSendGate is the transmitter half of a split credit window: a plain
-// per-VL window decremented by reservations and refilled by credit messages
-// from the remote CrossRecvGate. It lives on the sending shard and is the
-// sim.Handler those mailbox-delivered credit messages dispatch to.
+// CrossSendGate is the transmitter half of a split credit window: the
+// shared sendWindow, refilled by credit messages from the remote
+// CrossRecvGate. It lives on the sending shard and is the sim.Handler those
+// mailbox-delivered credit messages dispatch to.
 type CrossSendGate struct {
-	vls       [ib.NumVLs]xvlSend
-	onRelease []func()
+	sendWindow
 	// eng/name are diagnostic only (invariant reports); see SetDiag.
 	eng  *sim.Engine
 	name string
@@ -80,57 +73,8 @@ type CrossSendGate struct {
 // NewCrossSendGate builds the sender half with VL windows from windowFor.
 func NewCrossSendGate(windowFor func(ib.VL) units.ByteSize) *CrossSendGate {
 	g := &CrossSendGate{}
-	for i := range g.vls {
-		w := windowFor(ib.VL(i))
-		g.vls[i].window = w
-		g.vls[i].avail = w
-	}
+	g.setWindows(windowFor)
 	return g
-}
-
-// take consumes bytes of credit; grant-side bookkeeping only (the low-water
-// tracking BufferGate does feeds its occupancy model, which has no sender-
-// side counterpart here).
-func (s *xvlSend) take(bytes units.ByteSize) { s.avail -= bytes }
-
-// grantWaiters serves queued reservations FIFO while credit suffices.
-func (s *xvlSend) grantWaiters() {
-	for len(s.waiters) > 0 {
-		wt := s.waiters[0]
-		if s.avail < wt.bytes {
-			break
-		}
-		s.take(wt.bytes)
-		n := copy(s.waiters, s.waiters[1:])
-		s.waiters[n] = waiter{}
-		s.waiters = s.waiters[:n]
-		wt.w.CreditGranted()
-	}
-}
-
-// Fits implements Gate.
-func (g *CrossSendGate) Fits(vl ib.VL, bytes units.ByteSize) bool {
-	s := &g.vls[vl]
-	return len(s.waiters) == 0 && s.avail >= bytes
-}
-
-// TryReserve implements Gate.
-func (g *CrossSendGate) TryReserve(vl ib.VL, bytes units.ByteSize) bool {
-	if !g.Fits(vl, bytes) {
-		return false
-	}
-	g.vls[vl].take(bytes)
-	return true
-}
-
-// ReserveForWaiter implements Gate.
-func (g *CrossSendGate) ReserveForWaiter(vl ib.VL, bytes units.ByteSize, w Waiter) {
-	if g.TryReserve(vl, bytes) {
-		w.CreditGranted()
-		return
-	}
-	s := &g.vls[vl]
-	s.waiters = append(s.waiters, waiter{bytes: bytes, w: w})
 }
 
 // SetDiag attaches the sending shard's engine and the wire name for
@@ -138,28 +82,18 @@ func (g *CrossSendGate) ReserveForWaiter(vl ib.VL, bytes units.ByteSize, w Waite
 // invariants, just with a less located message.
 func (g *CrossSendGate) SetDiag(eng *sim.Engine, name string) { g.eng, g.name = eng, name }
 
-// OnRelease implements Gate: hooks fire whenever a mailbox credit message
-// lands.
-func (g *CrossSendGate) OnRelease(fn func()) { g.onRelease = append(g.onRelease, fn) }
-
-// Available reports the sender-visible credits for a VL.
-func (g *CrossSendGate) Available(vl ib.VL) units.ByteSize { return g.vls[vl].avail }
-
-// Window reports the VL's configured window.
-func (g *CrossSendGate) Window(vl ib.VL) units.ByteSize { return g.vls[vl].window }
-
 // HandleEvent applies a mailbox-delivered credit return from the remote
-// CrossRecvGate. Payload: A = VL, B = bytes.
+// CrossRecvGate. Payload: A = VL, B = bytes. The conservation check runs
+// before any waiter is granted: a grant would spend the excess credit and
+// hide the violation.
 func (g *CrossSendGate) HandleEvent(ev *sim.Event) {
-	s := &g.vls[ib.VL(ev.A)]
+	vl := ib.VL(ev.A)
+	s := &g.send[vl]
 	s.avail += units.ByteSize(ev.B)
 	if s.avail > s.window {
-		invariant(g.eng, g.name, "cross-shard credit conservation violated on vl %d: avail %v > window %v", ev.A, s.avail, s.window)
+		invariant(g.eng, g.name, "cross-shard credit conservation violated on vl %d: avail %v > window %v", vl, s.avail, s.window)
 	}
-	s.grantWaiters()
-	for _, hook := range g.onRelease {
-		hook()
-	}
+	g.grant(vl)
 }
 
 // CrossRecvGate is the receiver half of a split credit window: it lives on

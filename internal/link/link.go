@@ -203,23 +203,129 @@ type waiter struct {
 	w     Waiter
 }
 
-type vlState struct {
-	window   units.ByteSize
-	avail    units.ByteSize
-	resident units.ByteSize // bytes physically in the buffer
-	reserved units.ByteSize // reserved by sender, not yet arrived (in flight)
-	escrow   units.ByteSize // released by departures, withheld from sender
+// sendVL is the transmitter's credit state of one VL.
+type sendVL struct {
+	window units.ByteSize
+	avail  units.ByteSize
+	// granted counts every byte of credit ever reserved. A receiver that
+	// sees its own arrivals (BufferGate) gets the bytes in flight as
+	// granted minus arrived; a cross-shard receiver cannot, and never
+	// reads it.
+	granted units.ByteSize
+	// minAvail tracks the low-water mark of avail since the receiver last
+	// reset it (BufferGate.OnArrive, when an arrival estimation window
+	// closes): zero means the sender was credit-limited at some point in
+	// the window (so the measured arrival rate understates its offered
+	// rate); positive means the measured rate IS the offered rate and the
+	// receiver's estimate may re-anchor downward.
+	minAvail units.ByteSize
 	waiters  []waiter
+}
+
+// sendWindow is the transmitter's half of a credit window, shared by every
+// gate that keeps credit: per-VL windows, FIFO waiters, release hooks and
+// the Gate methods. The embedding gate decides only how credit comes back:
+// when returned bytes land it adds them to avail, checks its own
+// conservation invariant and calls grant.
+type sendWindow struct {
+	send      [ib.NumVLs]sendVL
+	onRelease []func()
+}
+
+func (w *sendWindow) setWindows(windowFor func(ib.VL) units.ByteSize) {
+	for i := range w.send {
+		n := windowFor(ib.VL(i))
+		w.send[i] = sendVL{window: n, avail: n, minAvail: n}
+	}
+}
+
+// take moves bytes from the available credit into the granted count,
+// tracking the low-water mark.
+func (s *sendVL) take(bytes units.ByteSize) {
+	s.avail -= bytes
+	s.granted += bytes
+	if s.avail < s.minAvail {
+		s.minAvail = s.avail
+	}
+}
+
+// Fits implements Gate. It moves the low-water mark as the reservation it
+// tests would: a denial means the sender is credit-limited, and a fit
+// lowers the mark to what the reservation would leave.
+func (w *sendWindow) Fits(vl ib.VL, bytes units.ByteSize) bool {
+	s := &w.send[vl]
+	if len(s.waiters) > 0 || s.avail < bytes {
+		s.minAvail = 0
+		return false
+	}
+	if left := s.avail - bytes; left < s.minAvail {
+		s.minAvail = left
+	}
+	return true
+}
+
+// TryReserve implements Gate.
+func (w *sendWindow) TryReserve(vl ib.VL, bytes units.ByteSize) bool {
+	if !w.Fits(vl, bytes) {
+		return false
+	}
+	w.send[vl].take(bytes)
+	return true
+}
+
+// ReserveForWaiter implements Gate. A request that has to queue has
+// already marked the sender credit-limited through TryReserve's denial.
+func (w *sendWindow) ReserveForWaiter(vl ib.VL, bytes units.ByteSize, wt Waiter) {
+	if w.TryReserve(vl, bytes) {
+		wt.CreditGranted()
+		return
+	}
+	s := &w.send[vl]
+	s.waiters = append(s.waiters, waiter{bytes: bytes, w: wt})
+}
+
+// OnRelease implements Gate: hooks fire whenever a credit return lands.
+func (w *sendWindow) OnRelease(fn func()) { w.onRelease = append(w.onRelease, fn) }
+
+// Available reports the sender-visible credits for a VL.
+func (w *sendWindow) Available(vl ib.VL) units.ByteSize { return w.send[vl].avail }
+
+// Window reports the VL's configured window.
+func (w *sendWindow) Window(vl ib.VL) units.ByteSize { return w.send[vl].window }
+
+// grant runs after returned credit for vl has landed: it serves the queued
+// reservations FIFO while credit suffices, then fires the release hooks.
+// The front waiter is popped by compacting in place: advancing the slice
+// (waiters[1:]) would walk the backing array forward and force an
+// allocation on a later append, which the credit-limited steady state hits
+// once per packet.
+func (w *sendWindow) grant(vl ib.VL) {
+	s := &w.send[vl]
+	for len(s.waiters) > 0 {
+		wt := s.waiters[0]
+		if s.avail < wt.bytes {
+			break
+		}
+		s.take(wt.bytes)
+		n := copy(s.waiters, s.waiters[1:])
+		s.waiters[n] = waiter{} // drop the waiter reference
+		s.waiters = s.waiters[:n]
+		wt.w.CreditGranted()
+	}
+	for _, hook := range w.onRelease {
+		hook()
+	}
+}
+
+// vlState is a BufferGate's receiver-side state of one VL.
+type vlState struct {
+	resident units.ByteSize // bytes physically in the buffer
+	arrived  units.ByteSize // cumulative; in flight = granted - arrived
+	escrow   units.ByteSize // released by departures, withheld from sender
 
 	arr     rateEstimator
 	dep     rateEstimator
 	arrPeak float64 // estimate of the sender's offered rate ro (see OnArrive)
-	// minAvail tracks the low-water mark of avail since the last arrival
-	// estimation window closed: zero means the sender was credit-limited
-	// at some point in the window (so the measured arrival rate understates
-	// its offered rate); positive means the measured rate IS the offered
-	// rate and arrPeak may re-anchor downward.
-	minAvail units.ByteSize
 
 	// residEWMA and bias form a small integral controller that drives the
 	// measured standing occupancy onto the frozen-occupancy target. A
@@ -240,13 +346,15 @@ type vlState struct {
 }
 
 // BufferGate is the credit controller of one receiving port: per-VL windows
-// with frozen-occupancy pacing.
+// with frozen-occupancy pacing. The sender's half is the embedded
+// sendWindow; the receiver's half returns credit through delayed local
+// events.
 type BufferGate struct {
+	sendWindow
 	eng         *sim.Engine
 	returnDelay units.Duration
 	name        string // diagnostic: the ingress it guards (see SetName)
 	vls         [ib.NumVLs]vlState
-	onRelease   []func()
 	// Frozen disables occupancy targeting (honest naive credits) for the
 	// ablation benchmarks; the default true matches the testbed.
 	frozen bool
@@ -300,47 +408,8 @@ func (e *rateEstimator) update(now units.Time, bytes units.ByteSize) bool {
 // upstream transmitter (FC update propagation).
 func NewBufferGate(eng *sim.Engine, returnDelay units.Duration, windowFor func(ib.VL) units.ByteSize) *BufferGate {
 	g := &BufferGate{eng: eng, returnDelay: returnDelay, frozen: true}
-	for i := range g.vls {
-		w := windowFor(ib.VL(i))
-		g.vls[i].window = w
-		g.vls[i].avail = w
-		g.vls[i].minAvail = w
-	}
+	g.setWindows(windowFor)
 	return g
-}
-
-// takeAvail moves bytes from the available pool into the reserved pool,
-// tracking the window's credit low-water mark for the offered-rate
-// estimator (see OnArrive).
-func (s *vlState) takeAvail(bytes units.ByteSize) {
-	s.avail -= bytes
-	s.reserved += bytes
-	if s.avail < s.minAvail {
-		s.minAvail = s.avail
-	}
-}
-
-// popWaiter removes the front waiter, compacting in place: advancing the
-// slice (waiters[1:]) would walk the backing array forward and force an
-// allocation on a later append, which the credit-limited steady state hits
-// once per packet.
-func (s *vlState) popWaiter() {
-	n := copy(s.waiters, s.waiters[1:])
-	s.waiters[n] = waiter{} // drop the waiter reference
-	s.waiters = s.waiters[:n]
-}
-
-// grantWaiters serves queued reservations FIFO while credit suffices.
-func (s *vlState) grantWaiters() {
-	for len(s.waiters) > 0 {
-		wt := s.waiters[0]
-		if s.avail < wt.bytes {
-			break
-		}
-		s.takeAvail(wt.bytes)
-		s.popWaiter()
-		wt.w.CreditGranted()
-	}
 }
 
 // SetFrozen toggles frozen-occupancy pacing (true by default). With false
@@ -352,62 +421,17 @@ func (g *BufferGate) SetFrozen(on bool) { g.frozen = on }
 // it guards). Purely diagnostic.
 func (g *BufferGate) SetName(name string) { g.name = name }
 
-// OnRelease implements Gate: hooks fire whenever a credit return lands.
-func (g *BufferGate) OnRelease(fn func()) { g.onRelease = append(g.onRelease, fn) }
-
-// Fits implements Gate. It feeds the offered-rate estimator as the
-// reservation it tests would (see OnArrive): a denial means the sender is
-// credit-limited, and a fit lowers the low-water mark to what the
-// reservation would leave.
-func (g *BufferGate) Fits(vl ib.VL, bytes units.ByteSize) bool {
-	s := &g.vls[vl]
-	if len(s.waiters) > 0 || s.avail < bytes {
-		s.minAvail = 0
-		return false
-	}
-	if left := s.avail - bytes; left < s.minAvail {
-		s.minAvail = left
-	}
-	return true
-}
-
-// TryReserve implements Gate.
-func (g *BufferGate) TryReserve(vl ib.VL, bytes units.ByteSize) bool {
-	if !g.Fits(vl, bytes) {
-		return false
-	}
-	g.vls[vl].takeAvail(bytes)
-	return true
-}
-
-// ReserveForWaiter implements Gate. A request that has to queue has
-// already marked the sender credit-limited through TryReserve's denial.
-func (g *BufferGate) ReserveForWaiter(vl ib.VL, bytes units.ByteSize, w Waiter) {
-	if g.TryReserve(vl, bytes) {
-		w.CreditGranted()
-		return
-	}
-	s := &g.vls[vl]
-	s.waiters = append(s.waiters, waiter{bytes: bytes, w: w})
-}
-
 // Occupancy reports the bytes currently resident in the VL's buffer.
 func (g *BufferGate) Occupancy(vl ib.VL) units.ByteSize { return g.vls[vl].resident }
-
-// Available reports the sender-visible credits for a VL.
-func (g *BufferGate) Available(vl ib.VL) units.ByteSize { return g.vls[vl].avail }
-
-// Window reports the VL's configured window.
-func (g *BufferGate) Window(vl ib.VL) units.ByteSize { return g.vls[vl].window }
 
 // OnArrive records that bytes of a packet have fully arrived into the
 // buffer. Called by the receiving port.
 func (g *BufferGate) OnArrive(vl ib.VL, bytes units.ByteSize) {
-	s := &g.vls[vl]
+	s, tx := &g.vls[vl], &g.send[vl]
 	s.resident += bytes
-	s.reserved -= bytes
-	if s.reserved < 0 {
-		invariant(g.eng, g.name, "more bytes arrived than were reserved on vl %d (over by %v)", vl, -s.reserved)
+	s.arrived += bytes
+	if s.arrived > tx.granted {
+		invariant(g.eng, g.name, "more bytes arrived than were reserved on vl %d (over by %v)", vl, s.arrived-tx.granted)
 	}
 	if !s.arr.update(g.eng.Now(), bytes) {
 		return
@@ -423,18 +447,18 @@ func (g *BufferGate) OnArrive(vl ib.VL, bytes units.ByteSize) {
 	// burst rate forever, which keeps target() below the window for
 	// traffic that is no longer oversubscribed and escrows credits the
 	// live flow is entitled to.
-	if s.minAvail > 0 {
+	if tx.minAvail > 0 {
 		s.arrPeak = s.arr.rate
 	} else if s.arr.rate > s.arrPeak {
 		s.arrPeak = s.arr.rate
 	}
-	s.minAvail = s.avail
+	tx.minAvail = tx.avail
 }
 
 // OnDepart records that bytes have left the buffer (egress complete) and
 // decides how much credit to return to the sender.
 func (g *BufferGate) OnDepart(vl ib.VL, bytes units.ByteSize) {
-	s := &g.vls[vl]
+	s, tx := &g.vls[vl], &g.send[vl]
 	if s.resident < bytes {
 		invariant(g.eng, g.name, "departure of %v exceeds resident %v on vl %d", bytes, s.resident, vl)
 	}
@@ -444,7 +468,8 @@ func (g *BufferGate) OnDepart(vl ib.VL, bytes units.ByteSize) {
 	pending := bytes + s.escrow
 	s.escrow = 0
 	release := pending
-	if s.resident == 0 && s.reserved == 0 {
+	inFlight := tx.granted - s.arrived
+	if s.resident == 0 && inFlight == 0 {
 		// The buffer fully drained: return everything. A rate-limited
 		// sender that then bursts its whole window refills the buffer only
 		// to W*(1 - rd/ro) — the same frozen-occupancy value — so this
@@ -454,8 +479,8 @@ func (g *BufferGate) OnDepart(vl ib.VL, bytes units.ByteSize) {
 		return
 	}
 	if g.frozen {
-		target := g.target(s)
-		if target < s.window {
+		target := g.target(vl)
+		if target < tx.window {
 			// Oversubscribed: steer the standing occupancy to the target.
 			// Sampling at departure sees the post-dequeue trough; adding
 			// half the departed packet recovers the time-average.
@@ -464,7 +489,7 @@ func (g *BufferGate) OnDepart(vl ib.VL, bytes units.ByteSize) {
 			if s.bias < 0 {
 				s.bias = 0
 			}
-			if max := float64(s.window - target); s.bias > max {
+			if max := float64(tx.window - target); s.bias > max {
 				s.bias = max
 			}
 		} else {
@@ -472,7 +497,7 @@ func (g *BufferGate) OnDepart(vl ib.VL, bytes units.ByteSize) {
 		}
 		// Credits already in the sender's hands or on the wire will turn
 		// into future occupancy; cap total future occupancy at target.
-		future := s.resident + s.reserved + s.avail
+		future := s.resident + inFlight + tx.avail
 		headroom := target + units.ByteSize(s.bias) - future
 		if headroom < 0 {
 			headroom = 0
@@ -487,18 +512,19 @@ func (g *BufferGate) OnDepart(vl ib.VL, bytes units.ByteSize) {
 	}
 }
 
-// target computes the standing-occupancy target W*(1 - rd/ro).
-func (g *BufferGate) target(s *vlState) units.ByteSize {
+// target computes the standing-occupancy target W*(1 - rd/ro) of vl.
+func (g *BufferGate) target(vl ib.VL) units.ByteSize {
+	s, window := &g.vls[vl], g.send[vl].window
 	if s.dep.rate <= 0 || s.arrPeak <= 0 {
-		return s.window
+		return window
 	}
 	ratio := s.dep.rate / s.arrPeak
 	// Near-unity ratios mean the buffer is not meaningfully oversubscribed;
 	// rate-estimation noise must not shrink the target to zero.
 	if ratio >= 0.985 {
-		return s.window
+		return window
 	}
-	t := units.ByteSize(float64(s.window) * (1 - ratio))
+	t := units.ByteSize(float64(window) * (1 - ratio))
 	return t
 }
 
@@ -521,19 +547,17 @@ func (g *BufferGate) scheduleRelease(vl ib.VL, bytes units.ByteSize) {
 }
 
 // HandleEvent applies a delayed credit return scheduled by scheduleRelease.
+// The conservation check runs before any waiter is granted.
 func (g *BufferGate) HandleEvent(ev *sim.Event) {
 	vl, bytes := ib.VL(ev.A), units.ByteSize(ev.B)
-	s := &g.vls[vl]
+	s, tx := &g.vls[vl], &g.send[vl]
 	if s.pendRel == ev {
 		s.pendRel = nil
 	}
-	s.avail += bytes
-	if s.avail+s.reserved+s.resident+s.escrow > s.window {
+	tx.avail += bytes
+	if inFlight := tx.granted - s.arrived; tx.avail+inFlight+s.resident+s.escrow > tx.window {
 		invariant(g.eng, g.name, "credit conservation violated on vl %d: avail %v + reserved %v + resident %v + escrow %v > window %v",
-			vl, s.avail, s.reserved, s.resident, s.escrow, s.window)
+			vl, tx.avail, inFlight, s.resident, s.escrow, tx.window)
 	}
-	s.grantWaiters()
-	for _, hook := range g.onRelease {
-		hook()
-	}
+	g.grant(vl)
 }

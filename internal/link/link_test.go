@@ -3,6 +3,7 @@ package link
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ib"
@@ -88,61 +89,173 @@ func newGate(eng *sim.Engine, window units.ByteSize) *BufferGate {
 	return NewBufferGate(eng, 10*units.Nanosecond, func(ib.VL) units.ByteSize { return window })
 }
 
-// TestGateFits: Fits answers what TryReserve would without taking credit,
-// on every gate a switch egress arbitrates over. On a BufferGate it still
-// feeds the offered-rate estimator as TryReserve does: a denial marks the
-// sender credit-limited (minAvail 0), a fit lowers the low-water mark to
-// what the reservation would leave.
+// creditGate is a fresh gate that keeps credit, with the receiver path
+// that returns it: land hands bytes of vl the transmitter reserved to the
+// receiver, which stores and drains them, and runs the clock until their
+// credit is back.
+type creditGate struct {
+	gate Gate
+	tx   *sendWindow
+	land func(vl ib.VL, bytes units.ByteSize)
+}
+
+// creditGates builds each gate that keeps credit, with window bytes on
+// every VL: a BufferGate and the sender half of a cross-shard split gate.
+var creditGates = []struct {
+	name  string
+	build func(t *testing.T, window units.ByteSize) creditGate
+}{
+	{"BufferGate", func(t *testing.T, window units.ByteSize) creditGate {
+		eng := sim.New()
+		g := newGate(eng, window)
+		return creditGate{g, &g.sendWindow, func(vl ib.VL, bytes units.ByteSize) {
+			g.OnArrive(vl, bytes)
+			g.OnDepart(vl, bytes)
+			eng.Run()
+		}}
+	}},
+	{"CrossSendGate", func(t *testing.T, window units.ByteSize) creditGate {
+		f := newXFix(t, 2, 5*units.Nanosecond, 20*units.Nanosecond, window)
+		return creditGate{f.sgate, &f.sgate.sendWindow, func(vl ib.VL, bytes units.ByteSize) {
+			f.rgate.OnArrive(vl, bytes)
+			f.rgate.OnDepart(vl, bytes)
+			f.coord.RunUntil(f.src.Now().Add(units.Microsecond))
+		}}
+	}},
+}
+
+// TestGateFits runs the transmitter's credit protocol, which every gate
+// that keeps credit shares, on each of them: Fits answers what TryReserve
+// would without taking credit and refuses while a waiter is queued;
+// waiters are granted FIFO when credit lands, VLs do not share credit, the
+// release hook fires when credit lands; and Fits moves the low-water mark
+// as TryReserve would (a denial marks the sender credit-limited, minAvail
+// 0; a fit lowers the mark to what the reservation would leave).
 func TestGateFits(t *testing.T) {
 	var u Unlimited
 	if !u.Fits(0, 1<<40) {
 		t.Error("unlimited gate refused a fit")
 	}
+	const window = 1000
+	for _, kind := range creditGates {
+		t.Run(kind.name, func(t *testing.T) {
+			fresh := func() creditGate { return kind.build(t, window) }
+			c := fresh()
+			g := c.gate
+			if !g.Fits(0, window) || c.tx.Available(0) != window {
+				t.Fatalf("fit of the whole window: avail %d, want %d untouched", c.tx.Available(0), window)
+			}
+			if c.tx.send[0].minAvail != 0 {
+				t.Errorf("minAvail = %d after a fit that would empty the window, want 0", c.tx.send[0].minAvail)
+			}
 
-	g := newGate(sim.New(), 1000)
-	if !g.Fits(0, 1000) || g.Available(0) != 1000 {
-		t.Fatalf("BufferGate fit of the whole window: avail %d, want 1000 untouched", g.Available(0))
-	}
-	if g.vls[0].minAvail != 0 {
-		t.Errorf("minAvail = %d after a fit that would empty the window, want 0", g.vls[0].minAvail)
-	}
-	g = newGate(sim.New(), 1000)
-	if !g.TryReserve(0, 300) || !g.Fits(0, 500) {
-		t.Fatal("BufferGate refused a fit within the window")
-	}
-	if g.Available(0) != 700 {
-		t.Errorf("avail = %d after a fit, want 700 (fit must take no credit)", g.Available(0))
-	}
-	if g.vls[0].minAvail != 200 {
-		t.Errorf("minAvail = %d after fitting 500 B into 700 B, want 200", g.vls[0].minAvail)
-	}
-	if g.Fits(0, 701) {
-		t.Fatal("BufferGate fit more than its available credit")
-	}
-	if g.vls[0].minAvail != 0 {
-		t.Errorf("minAvail = %d after a denied fit, want 0", g.vls[0].minAvail)
-	}
-	if g.Available(0) != 700 {
-		t.Errorf("avail = %d after a denied fit, want 700", g.Available(0))
-	}
-	g.ReserveForWaiter(0, 800, waiterFunc(func() {}))
-	if g.Fits(0, 1) {
-		t.Error("BufferGate fit ahead of a queued waiter")
-	}
+			c = fresh()
+			g = c.gate
+			if !g.TryReserve(0, 300) || !g.Fits(0, 500) {
+				t.Fatal("refused a fit within the window")
+			}
+			if c.tx.Available(0) != 700 {
+				t.Errorf("avail = %d after a fit, want 700 (a fit takes no credit)", c.tx.Available(0))
+			}
+			if c.tx.send[0].minAvail != 200 {
+				t.Errorf("minAvail = %d after fitting 500 B into 700 B, want 200", c.tx.send[0].minAvail)
+			}
+			if g.Fits(0, 701) {
+				t.Fatal("fit more than the available credit")
+			}
+			if c.tx.send[0].minAvail != 0 {
+				t.Errorf("minAvail = %d after a denied fit, want 0", c.tx.send[0].minAvail)
+			}
+			if c.tx.Available(0) != 700 {
+				t.Errorf("avail = %d after a denied fit, want 700", c.tx.Available(0))
+			}
+			g.ReserveForWaiter(0, 800, waiterFunc(func() {}))
+			if g.Fits(0, 1) || g.TryReserve(0, 1) {
+				t.Error("fit or reserved ahead of a queued waiter")
+			}
 
-	x := NewCrossSendGate(func(ib.VL) units.ByteSize { return 100 })
-	if !x.Fits(1, 100) || x.Available(1) != 100 {
-		t.Fatalf("CrossSendGate fit of the whole window: avail %d, want 100 untouched", x.Available(1))
+			c = fresh()
+			g = c.gate
+			if !g.TryReserve(0, window) {
+				t.Fatal("fresh window refused its whole size")
+			}
+			hooks := 0
+			g.OnRelease(func() { hooks++ })
+			var order []string
+			for _, w := range []string{"w1", "w2", "w3"} {
+				g.ReserveForWaiter(0, 300, waiterFunc(func() { order = append(order, w) }))
+			}
+			if !g.TryReserve(1, window) || c.tx.Available(1) != 0 {
+				t.Fatal("vl 1 did not have its own whole window")
+			}
+			if len(order) != 0 || hooks != 0 {
+				t.Fatalf("granted %v and fired %d hooks before any credit landed", order, hooks)
+			}
+			c.land(0, window)
+			if got := fmt.Sprint(order); got != "[w1 w2 w3]" {
+				t.Errorf("grant order = %s, want [w1 w2 w3]", got)
+			}
+			if hooks != 1 {
+				t.Errorf("release hook fired %d times when credit landed, want 1", hooks)
+			}
+			if a0, a1 := c.tx.Available(0), c.tx.Available(1); a0 != window-900 || a1 != 0 {
+				t.Errorf("avail = %d on vl 0 and %d on vl 1 after vl 0's credit landed, want %d and 0", a0, a1, window-900)
+			}
+		})
 	}
-	if !x.TryReserve(1, 60) || x.Fits(1, 41) || !x.Fits(1, 40) {
-		t.Fatal("CrossSendGate fit disagrees with its remaining 40 B of credit")
-	}
-	x.ReserveForWaiter(1, 50, waiterFunc(func() {}))
-	if x.Fits(1, 1) {
-		t.Error("CrossSendGate fit ahead of a queued waiter")
-	}
-	if x.Available(1) != 40 {
-		t.Errorf("CrossSendGate avail = %d, want 40 (fits take no credit)", x.Available(1))
+}
+
+// TestGateConservationCheckedBeforeGrant: a duplicate credit return trips
+// each gate's conservation check while a waiter is queued, before the
+// waiter is granted. On the split gate a grant first would spend the
+// excess and hide it: avail is back within the window once the waiter
+// takes its bytes.
+func TestGateConservationCheckedBeforeGrant(t *testing.T) {
+	const window = 1000
+	for _, tc := range []struct {
+		name string
+		// build returns a gate whose window is wholly reserved and a
+		// function that returns its credit twice in one landing.
+		build func(t *testing.T) (Gate, func())
+	}{
+		{"BufferGate", func(t *testing.T) (Gate, func()) {
+			eng := sim.New()
+			g := newGate(eng, window)
+			g.TryReserve(0, window)
+			return g, func() {
+				g.OnArrive(0, window)
+				g.OnDepart(0, window)
+				g.scheduleRelease(0, window) // merges into the same-tick return
+				eng.Run()
+			}
+		}},
+		{"CrossSendGate", func(t *testing.T) (Gate, func()) {
+			f := newXFix(t, 2, 5*units.Nanosecond, 20*units.Nanosecond, window)
+			f.sgate.TryReserve(0, window)
+			return f.sgate, func() {
+				f.rgate.OnArrive(0, window)
+				f.rgate.OnArrive(0, window) // the arrival counted twice
+				f.rgate.OnDepart(0, 2*window)
+				f.coord.RunUntil(units.Time(0).Add(units.Microsecond))
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, duplicate := tc.build(t)
+			granted := false
+			g.ReserveForWaiter(0, window, waiterFunc(func() { granted = true }))
+			defer func() {
+				// The split gate's panic reaches here wrapped in a
+				// *sim.ShardPanic, whose message carries it.
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "credit conservation violated") {
+					t.Errorf("panic %q, want a credit conservation violation", msg)
+				}
+				if granted {
+					t.Error("the waiter was granted before the conservation check")
+				}
+			}()
+			duplicate()
+		})
 	}
 }
 
@@ -411,8 +524,8 @@ func TestStoppedSenderPeakReWindows(t *testing.T) {
 		t.Errorf("arrival peak %.6f B/ps still near the stopped sender's rate; want <= %.6f (2x the live rate)",
 			s.arrPeak, 2*slowRate)
 	}
-	if got := g.target(s); got != s.window {
-		t.Errorf("frozen-occupancy target = %d B with a non-oversubscribed flow, want the full window %d B", got, s.window)
+	if got := g.target(0); got != g.Window(0) {
+		t.Errorf("frozen-occupancy target = %d B with a non-oversubscribed flow, want the full window %d B", got, g.Window(0))
 	}
 	if s.escrow != 0 {
 		t.Errorf("gate still escrows %d B of credits after the regime change", s.escrow)

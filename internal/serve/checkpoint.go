@@ -66,8 +66,8 @@ func openCheckpoint(dir, key string, njobs int) (*checkpointLog, map[int]experim
 			break // no terminator: torn tail from a mid-append crash
 		}
 		line := data[off : off+nl]
-		var rec jobRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, err := parseRecord(line)
+		if err != nil {
 			// A malformed line that is not the torn tail means the journal
 			// is corrupt beyond the append-crash model; refuse to guess.
 			if off+nl+1 < len(data) {
@@ -95,6 +95,22 @@ func openCheckpoint(dir, key string, njobs int) (*checkpointLog, map[int]experim
 		return nil, nil, fmt.Errorf("serve: checkpoint seek: %w", err)
 	}
 	return &checkpointLog{f: f}, done, nil
+}
+
+// parseRecord decodes one journal line, accepting only a line append
+// could have written: one that re-marshals to itself byte for byte. JSON
+// that merely decodes — null, a record missing its result, an unknown
+// field — would otherwise restore as a zero Result and reduce into the
+// resumed sweep's table.
+func parseRecord(line []byte) (jobRecord, error) {
+	var rec jobRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return rec, err
+	}
+	if b, err := json.Marshal(rec); err != nil || !bytes.Equal(b, line) {
+		return rec, fmt.Errorf("line is not a journal record as append writes it")
+	}
+	return rec, nil
 }
 
 // append journals one completed job. Each record is a single Write call

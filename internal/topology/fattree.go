@@ -345,10 +345,11 @@ func (c *Cluster) build(spec FatTreeSpec, plan *PartitionPlan, legacy []legacyLe
 		for l, sw := range leaves[p] {
 			for h := 0; h < hosts[l]; h++ {
 				nic := c.addNIC(eng, node)
+				gate := c.ingressGate(eng, sw, h)
 				up := link.NewWire(eng, fmt.Sprintf("n%d->%s", node, sw.Name()),
-					hostLink.Bandwidth, hostLink.Propagation, sw.Ingress(h), sw.IngressGate(h))
+					hostLink.Bandwidth, hostLink.Propagation, sw.Ingress(h), gate)
 				nic.Attach(up)
-				c.registerWire(eng, up, sw.IngressGate(h), nil, 0)
+				c.registerWire(eng, up, gate, nil, 0)
 				sw.AttachPeer(h, hostLink, nic, link.Unlimited{})
 				c.registerWire(eng, sw.EgressWire(h), nil, sw, h)
 				node++
@@ -357,11 +358,14 @@ func (c *Cluster) build(spec FatTreeSpec, plan *PartitionPlan, legacy []legacyLe
 	}
 
 	// Intra-pod trunks: local wires, both directions.
+	half := func(eng *sim.Engine, a *ibswitch.Switch, pa int, b *ibswitch.Switch, pb int) {
+		gate := c.ingressGate(eng, b, pb)
+		a.AttachPeer(pa, trunkLink, b.Ingress(pb), gate)
+		c.registerWire(eng, a.EgressWire(pa), gate, a, pa)
+	}
 	trunk := func(eng *sim.Engine, a *ibswitch.Switch, pa int, b *ibswitch.Switch, pb int) {
-		a.AttachPeer(pa, trunkLink, b.Ingress(pb), b.IngressGate(pb))
-		c.registerWire(eng, a.EgressWire(pa), b.IngressGate(pb), a, pa)
-		b.AttachPeer(pb, trunkLink, a.Ingress(pa), a.IngressGate(pa))
-		c.registerWire(eng, b.EgressWire(pb), a.IngressGate(pa), b, pb)
+		half(eng, a, pa, b, pb)
+		half(eng, b, pb, a, pa)
 	}
 	for p := range leaves {
 		if spec.Spines == 0 && len(hosts) == 2 {
@@ -428,4 +432,15 @@ func (c *Cluster) build(spec FatTreeSpec, plan *PartitionPlan, legacy []legacyLe
 			}
 		}
 	}
+}
+
+// ingressGate builds the BufferGate guarding port i of sw, the receiving end
+// of a local link, named after the port, and installs it as the port's
+// ingress accounting.
+func (c *Cluster) ingressGate(eng *sim.Engine, sw *ibswitch.Switch, i int) *link.BufferGate {
+	par := c.Params.Switch
+	g := link.NewBufferGate(eng, par.CreditReturnDelay, par.WindowFor)
+	g.SetName(fmt.Sprintf("%s.p%d:in", sw.Name(), i))
+	sw.SetIngress(i, g)
+	return g
 }

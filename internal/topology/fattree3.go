@@ -8,13 +8,16 @@
 // package comment). To keep results byte-identical for ANY shard count,
 // every spine-core link is a cross-shard link.Wire delivering through a
 // channel — including at shards=1, where the channels are self-loops. The
-// core layer therefore uses the split plain-window credit gate
-// (link.CrossSendGate/CrossRecvGate) at every shard count: the
-// frozen-occupancy BufferGate needs same-tick visibility of the receiver's
-// buffer, which a positive-latency cut cannot provide, and modeling long
-// core cables with explicit FC-update credits is the physically honest
-// choice anyway. No two-layer experiment traverses a core link, so their
-// behavior is untouched.
+// core layer therefore uses the split plain-window credit gate at every
+// shard count: its transmitter half (link.CrossSendGate) reserves from the
+// same shared credit window as a local BufferGate, but credit returns as
+// mailbox messages from the receiver half (link.CrossRecvGate), which is
+// the core ingress's one accounting — a core ingress has no BufferGate.
+// The frozen-occupancy BufferGate needs same-tick visibility of the
+// receiver's buffer, which a positive-latency cut cannot provide, and
+// modeling long core cables with explicit FC-update credits is the
+// physically honest choice anyway. No two-layer experiment traverses a
+// core link, so their behavior is untouched.
 package topology
 
 import (
@@ -153,7 +156,7 @@ func (c *Cluster) crossLink(lk model.LinkParams,
 	swPar := c.Params.Switch
 	sgate := link.NewCrossSendGate(swPar.WindowFor)
 	rgate := link.NewCrossRecvGate(c.Coord.Shard(dstShard).Eng, credit, sgate, lk.Propagation+swPar.CreditReturnDelay)
-	dst.SetIngressCross(dstPort, rgate)
+	dst.SetIngress(dstPort, rgate)
 	srcEng := c.Coord.Shard(srcShard).Eng
 	sgate.SetDiag(srcEng, name)
 	rgate.SetName(fmt.Sprintf("%s.p%d:in", dst.Name(), dstPort))
