@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench fuzz-spec fuzz-checkpoint golden parity smoke-examples smoke-specs smoke-serve ci
+.PHONY: all vet build test race bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench fuzz-spec fuzz-checkpoint fuzz-wheel golden parity smoke-examples smoke-specs smoke-serve ci
 
 all: vet build test
 
@@ -25,7 +25,8 @@ bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
 # bench-queue compares the timing-wheel calendar against the 4-ary-heap
-# baseline it replaced (see internal/sim/queue_bench_test.go).
+# baseline it replaced (see internal/sim/queue_bench_test.go), on uniform
+# churn, the wake pattern and the delay spectrum the fig8 grid schedules.
 bench-queue:
 	$(GO) test -run XXX -bench 'BenchmarkQueue' -benchtime 2s ./internal/sim/
 
@@ -77,6 +78,14 @@ fuzz-spec:
 # minimization time (60 s); -fuzzminimizetime bounds it.
 fuzz-checkpoint:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointReopen$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/serve
+
+# fuzz-wheel fuzzes the timing-wheel calendar beyond its seed corpus: any
+# sequence of At, Cancel, Reschedule, Step and RunUntil operations, with
+# times at ties, in the tick being served, on every level's reach and
+# bucket boundaries and past the wheel, must fire the same events in the
+# same order as the 4-ary heap reference.
+fuzz-wheel:
+	$(GO) test -run '^$$' -fuzz '^FuzzWheelOps$$' -fuzztime 20s ./internal/sim
 
 # test-faults runs the fault-injection and transport-reliability suite:
 # the fault goldens, the shards 1/2/4 x barrier-mode byte-equivalence of
@@ -209,4 +218,4 @@ smoke-specs:
 # ci runs each test once per mode: plain, -race, debugpackets. The focused
 # -race targets above (test-shard, test-faults, test-serve, test-workload)
 # are subsets of race and stay out of ci; they are local shortcuts.
-ci: vet build test race test-alloc test-debugpackets test-perfbench fuzz-spec fuzz-checkpoint smoke-examples smoke-serve
+ci: vet build test race test-alloc test-debugpackets test-perfbench fuzz-spec fuzz-checkpoint fuzz-wheel smoke-examples smoke-serve

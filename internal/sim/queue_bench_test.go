@@ -8,12 +8,18 @@ package sim
 //     as the far-future overflow structure and driven here through a
 //     minimal harness with the engine's exact (time, seq) discipline.
 //
-// Two workloads matter:
+// Three workloads matter:
 //
-//   - Mix: the generic schedule/cancel/pop churn of a busy fabric.
+//   - Mix: the generic schedule/cancel/pop churn of a busy fabric, delays
+//     uniform over 0-1 us.
 //   - Wake: the switch/NIC pattern — one pending evaluation per resource,
 //     constantly pulled earlier — served with Reschedule (same-bucket
 //     moves on the wheel, one sift on the heap) instead of Cancel+At.
+//   - Spectrum: pop the earliest event and schedule its successor, with
+//     delays drawn from the spectrum paper-star's fig8 grid schedules,
+//     most of them 2-16 ns ahead (DESIGN.md "The event scheduler"). This is
+//     where the wheel's tick width shows: a delay inside the tick being
+//     served pays the sorted drain buffer's insert.
 //
 // Results are recorded in CHANGES.md.
 
@@ -205,5 +211,79 @@ func BenchmarkQueueWakeHeap(b *testing.B) {
 		} else {
 			e.Reschedule(picks[p], at.Add(500_000_000))
 		}
+	}
+}
+
+// fig8Spectrum is the schedule-delay spectrum of paper-star's fig8 grid
+// (seeds 1-3, every label): entry k is the schedules per million whose
+// delay d in picoseconds has bits.Len64(d) == k, i.e. 0 for k = 0 and
+// [2^(k-1), 2^k) otherwise. 2.5% are zero-delay, 28% fall at 2-4 ns, 45%
+// at 4-66 ns, 23% at 66-262 ns and 1.3% at 262 ns to 2.1 us.
+var fig8Spectrum = [...]int{
+	25256, 1, 1, 2, 5, 10, 21, 39, 82, 161, 329, 663, // 0 to 2 ns
+	280375, 135071, 121968, 130850, 62874, 95180, 134161, // 2 ns to 262 ns
+	9154, 3485, 310, // 262 ns to 2.1 us
+}
+
+// spectrumPopulation is the standing number of pending events: the
+// converged star at 64 B payloads holds 20 on average, at most 36.
+const spectrumPopulation = 32
+
+// spectrumDelays draws a fixed table of delays from fig8Spectrum, so both
+// calendars see the same sequence and no RNG cost is timed.
+func spectrumDelays() []units.Duration {
+	total := 0
+	for _, n := range fig8Spectrum {
+		total += n
+	}
+	src := rng.New(3)
+	delays := make([]units.Duration, 4096)
+	for i := range delays {
+		r, k := src.Intn(total), 0
+		for r >= fig8Spectrum[k] {
+			r -= fig8Spectrum[k]
+			k++
+		}
+		if k > 0 {
+			lo := 1 << (k - 1)
+			delays[i] = units.Duration(lo + src.Intn(lo))
+		}
+	}
+	return delays
+}
+
+func BenchmarkQueueSpectrumWheel(b *testing.B) {
+	e := New()
+	delays := spectrumDelays()
+	i := 0
+	var hold func()
+	hold = func() {
+		e.At(e.Now().Add(delays[i%len(delays)]), "hold", hold)
+		i++
+	}
+	for j := 0; j < spectrumPopulation; j++ {
+		hold()
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		e.Step()
+	}
+}
+
+func BenchmarkQueueSpectrumHeap(b *testing.B) {
+	e := &heapEngine{}
+	delays := spectrumDelays()
+	i := 0
+	var hold func()
+	hold = func() {
+		e.At(e.now.Add(delays[i%len(delays)]), hold)
+		i++
+	}
+	for j := 0; j < spectrumPopulation; j++ {
+		hold()
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		e.Step()
 	}
 }

@@ -11,10 +11,10 @@
 //     drift between, say, a link's serialization completion and the credit
 //     return it triggers.
 //
-// The calendar is a hierarchical timing wheel (see wheel.go): power-of-two
-// tick buckets across three geometrically coarsening levels, with a 4-ary
-// min-heap (eventQueue) holding far-future outliers, plus an event free
-// list. Nearly every delay the fabric schedules — propagation,
+// The calendar is a hierarchical timing wheel (see wheel.go): 4.1 ns tick
+// buckets across four geometrically coarsening levels that reach 68.7 ms,
+// with a 4-ary min-heap (eventQueue) holding far-future outliers, plus an
+// event free list. Nearly every delay the fabric schedules — propagation,
 // serialization, credit returns, engine occupancy — falls within the
 // wheel's first levels, so the hot wake/kick paths in the NIC and switch
 // models — which constantly pull an already-pending evaluation to an
@@ -131,6 +131,10 @@ func (e *Engine) Processed() uint64 { return e.ran }
 
 // Pending reports how many events are scheduled but not yet executed.
 func (e *Engine) Pending() int { return e.queue.len() }
+
+// Calendar reports how much sorting, cascading and far-heap work the
+// calendar has done since New (see CalendarStats).
+func (e *Engine) Calendar() CalendarStats { return e.queue.stats }
 
 // alloc takes an Event from the free list, or makes one.
 func (e *Engine) alloc() *Event {
@@ -371,10 +375,11 @@ func (e *Engine) RunFor(d units.Duration) {
 // share a cache line.
 //
 // It was the engine's calendar through PR 3 and now serves two roles: the
-// timing wheel's far-future overflow structure (events beyond the level-2
-// horizon, where O(log n) on a handful of long timers is irrelevant), and
-// the mid-tier baseline in queue_bench_test.go — the wheel is benchmarked
-// against both this heap and the seed's container/heap engine.
+// timing wheel's far-future overflow structure (events beyond the top
+// level's reach, where O(log n) on a handful of long timers is
+// irrelevant), and the mid-tier baseline in queue_bench_test.go — the
+// wheel is benchmarked against both this heap and the seed's
+// container/heap engine.
 type eventQueue struct {
 	events []*Event
 }

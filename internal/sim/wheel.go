@@ -5,14 +5,15 @@ package sim
 // A heap pays O(log n) per operation no matter where an event lands. But
 // nearly every delay this simulator schedules — link propagation,
 // serialization of an MTU at tens of Gb/s, credit-return latency, engine
-// occupancy — falls within a few microseconds of now. The wheel exploits
-// that: time is quantized into 2^tickBits-picosecond ticks, and each of
-// numLevels wheel levels holds numBuckets buckets of geometrically
-// coarsening span. Scheduling, canceling and rescheduling an event within
-// the wheel's horizon is O(1); only events beyond the horizon (measurement
-// deadlines, idle-period timers) fall through to a far-future 4-ary heap
-// (eventQueue, the previous calendar, retained both as the overflow
-// structure and as the benchmark baseline in queue_bench_test.go).
+// occupancy — falls within a few microseconds of now, and most within a
+// few nanoseconds. The wheel exploits that: time is quantized into
+// 2^tickBits-picosecond ticks, and each of numLevels wheel levels holds
+// numBuckets buckets of geometrically coarsening span. Scheduling,
+// canceling and rescheduling an event within the wheel's reach is O(1);
+// only events beyond it (a timer backed off past 68.7 ms, a delay clamped
+// to units.MaxTime) fall through to a far-future 4-ary heap (eventQueue,
+// the previous calendar, retained both as the overflow structure and as
+// the benchmark baseline in queue_bench_test.go).
 //
 // # Determinism
 //
@@ -30,13 +31,24 @@ package sim
 //
 // # Level layout
 //
-// With tickBits=16 and levelBits=6: level 0 buckets span one 65.5 ns tick
-// (horizon 4.2 us), level 1 buckets span 64 ticks (horizon 268 us), level 2
-// buckets span 4096 ticks (horizon 17.2 ms). An event goes to the first
-// level whose bucket distance from the current tick fits; as the current
-// tick advances into an upper-level bucket, that bucket cascades: its
-// events redistribute into lower levels (each event cascades at most once
-// per level, so the amortized cost stays O(1) per event).
+// With tickBits=12 and levelBits=6, level l's buckets span 64^l ticks and
+// the level reaches 64^(l+1) ticks:
+//
+//	level  bucket span  reach
+//	0      4.1 ns       262 ns
+//	1      262 ns       16.8 us
+//	2      16.8 us      1.07 ms
+//	3      1.07 ms      68.7 ms
+//
+// The tick fits the fabric's delay spectrum (DESIGN.md "The event
+// scheduler"): link deliveries 2-4 ns ahead, departures 4-8 ns and credit
+// returns 8-16 ns land in a later level-0 bucket, not in the sorted drain
+// buffer of the tick being served. The fourth level keeps a default 15 ms
+// run inside the wheel. An event goes to the first level whose bucket
+// distance from the current tick fits; as the current tick advances into
+// an upper-level bucket, that bucket cascades: its events redistribute
+// into lower levels (each event cascades at most once per level, so the
+// amortized cost stays O(1) per event).
 //
 // curTick may run ahead of the engine clock: RunUntil peeks at the next
 // event, which settles the wheel onto that event's tick even when the
@@ -47,13 +59,15 @@ package sim
 import "math/bits"
 
 const (
-	// tickBits sets the level-0 tick: 2^16 ps = 65.536 ns.
-	tickBits = 16
+	// tickBits sets the level-0 tick: 2^12 ps = 4.096 ns.
+	tickBits = 12
 	// levelBits sets the buckets per level: 64, one occupancy word each.
 	levelBits  = 6
 	numBuckets = 1 << levelBits
 	bucketMask = numBuckets - 1
-	numLevels  = 3
+	numLevels  = 4
+	// topShift converts a tick to its top-level slot.
+	topShift = (numLevels - 1) * levelBits
 
 	// Event location codes carried in Event.lvl. Values 0..numLevels-1 are
 	// wheel levels.
@@ -61,12 +75,13 @@ const (
 	locFar   = int8(numLevels + 1) // in the far-future heap
 )
 
-// wheel is the calendar: three wheel levels, the drain buffer of the tick
-// being served, and the far-future overflow heap.
+// wheel is the calendar: numLevels wheel levels, the drain buffer of the
+// tick being served, and the far-future overflow heap.
 type wheel struct {
 	// curTick is the tick the drain buffer belongs to. All events stored in
-	// wheel buckets or the far heap have tick >= curTick; events at or
-	// before curTick live in the drain buffer.
+	// wheel buckets or the far heap have tick >= curTick; events before
+	// curTick live in the drain buffer, and so do curTick's own whenever
+	// the buffer is non-empty.
 	curTick int64
 	levels  [numLevels][numBuckets][]*Event
 	occ     [numLevels]uint64 // bit b set iff levels[l][b] is non-empty
@@ -76,6 +91,21 @@ type wheel struct {
 	drainHead int
 	far       eventQueue
 	count     int
+	stats     CalendarStats
+}
+
+// CalendarStats counts the calendar's work since the engine was built, on
+// the paths that cost more than a schedule's one bucket append.
+type CalendarStats struct {
+	// DrainInserts counts events filed into the sorted buffer of the tick
+	// being served (a binary search and a shift each).
+	DrainInserts uint64
+	// Cascaded counts events moved down a level as the wheel advanced into
+	// their bucket.
+	Cascaded uint64
+	// FarPushes counts events filed beyond the wheel's reach, in the
+	// far-future heap.
+	FarPushes uint64
 }
 
 func tickOf(at int64) int64 { return at >> tickBits }
@@ -101,19 +131,30 @@ func (w *wheel) insert(ev *Event) {
 	w.place(ev, tick)
 }
 
-// place stores ev in the first level whose bucket distance from curTick
-// fits, or the far heap. Requires tick >= curTick.
+// levelOf returns the first level whose bucket distance from curTick fits
+// tick, or numLevels when tick lies beyond the wheel's reach. Requires
+// tick >= curTick.
+func (w *wheel) levelOf(tick int64) int {
+	for lvl := 0; lvl < numLevels; lvl++ {
+		shift := uint(lvl) * levelBits
+		if (tick>>shift)-(w.curTick>>shift) < numBuckets {
+			return lvl
+		}
+	}
+	return numLevels
+}
+
+// place stores ev in its level's bucket, or in the far heap beyond the
+// wheel's reach. Requires tick >= curTick.
 func (w *wheel) place(ev *Event, tick int64) {
-	if d := tick - w.curTick; d < numBuckets {
-		w.bucketPush(0, int(tick&bucketMask), ev)
-	} else if d1 := (tick >> levelBits) - (w.curTick >> levelBits); d1 < numBuckets {
-		w.bucketPush(1, int((tick>>levelBits)&bucketMask), ev)
-	} else if d2 := (tick >> (2 * levelBits)) - (w.curTick >> (2 * levelBits)); d2 < numBuckets {
-		w.bucketPush(2, int((tick>>(2*levelBits))&bucketMask), ev)
-	} else {
+	lvl := w.levelOf(tick)
+	if lvl == numLevels {
 		ev.lvl = locFar
 		w.far.push(ev)
+		w.stats.FarPushes++
+		return
 	}
+	w.bucketPush(lvl, int((tick>>(uint(lvl)*levelBits))&bucketMask), ev)
 }
 
 func (w *wheel) bucketPush(lvl, bkt int, ev *Event) {
@@ -172,19 +213,7 @@ func (w *wheel) move(ev *Event) {
 
 // fits reports whether tick still maps to the given wheel level.
 func (w *wheel) fits(lvl int, tick int64) bool {
-	if tick < w.curTick {
-		return false
-	}
-	switch lvl {
-	case 0:
-		return tick-w.curTick < numBuckets
-	case 1:
-		return tick-w.curTick >= numBuckets &&
-			(tick>>levelBits)-(w.curTick>>levelBits) < numBuckets
-	default:
-		return (tick>>levelBits)-(w.curTick>>levelBits) >= numBuckets &&
-			(tick>>(2*levelBits))-(w.curTick>>(2*levelBits)) < numBuckets
-	}
+	return tick >= w.curTick && w.levelOf(tick) == lvl
 }
 
 // min returns the earliest pending event without removing it. It may
@@ -218,22 +247,22 @@ func (w *wheel) pop() *Event {
 //
 // Advancement is strictly boundary-respecting: before any level-0 event
 // beyond a level-1 boundary is served, the entered level-1 bucket cascades
-// (and likewise for level-2 boundaries), so an upper-level bucket covering
-// curTick is always empty — the invariant that makes "nearest occupied
-// lower-level bucket" the true minimum. The far heap is checked every
-// iteration: events the advancing level-2 horizon now covers move into the
-// wheels before any serving decision. (Far events are strictly later than
-// every wheel event at equal curTick, so this check is what keeps the heap
-// from hiding an earlier event.)
+// (and likewise for every upper level's boundaries), so an upper-level
+// bucket covering curTick is always empty — the invariant that makes
+// "nearest occupied lower-level bucket" the true minimum. The far heap is
+// checked every iteration: events the advancing top-level reach now
+// covers move into the wheels before any serving decision. (Far events
+// are strictly later than every wheel event at equal curTick, so this
+// check is what keeps the heap from hiding an earlier event.)
 func (w *wheel) settle() {
 	for w.drainHead >= len(w.drain) {
 		w.drain = w.drain[:0]
 		w.drainHead = 0
 
-		// Pull far-future events the level-2 horizon has reached.
+		// Pull far-future events the top level's reach has covered.
 		for w.far.len() > 0 {
 			m := w.far.min()
-			if (tickOf(int64(m.at))>>(2*levelBits))-(w.curTick>>(2*levelBits)) >= numBuckets {
+			if (tickOf(int64(m.at))>>topShift)-(w.curTick>>topShift) >= numBuckets {
 				break
 			}
 			ev := w.far.pop()
@@ -252,49 +281,50 @@ func (w *wheel) settle() {
 			// The nearest level-0 event lies past a level-1 boundary: cross
 			// the boundary (merging the entered bucket) before serving it.
 		}
-		if w.occ[0] != 0 || w.occ[1] != 0 {
-			n1 := ((w.curTick >> levelBits) + 1) << levelBits
-			if w.occ[0] == 0 {
-				// Nothing before the nearest occupied level-1 bucket: jump
-				// straight to its start. (Distance 0 cannot occur — the
-				// bucket covering curTick cascaded when curTick entered it.)
-				p1 := int((w.curTick >> levelBits) & bucketMask)
-				d1 := int64((nearestBucket(w.occ[1], p1) - p1) & bucketMask)
-				if start := ((w.curTick >> levelBits) + d1) << levelBits; start > n1 {
-					n1 = start
-				}
-			}
-			if n1>>(2*levelBits) == w.curTick>>(2*levelBits) {
-				w.curTick = n1
-				if i := int((n1 >> levelBits) & bucketMask); w.occ[1]&(1<<uint(i)) != 0 {
-					w.cascadeBucket(1, i)
-				}
-				continue
-			}
-			// A level-2 boundary is in the way: fall through to cross it.
+		if !w.cross() {
+			// Wheels empty: jump to the far minimum; the refill above moves
+			// it (and its near neighbors) into the wheels next iteration.
+			w.curTick = tickOf(int64(w.far.min().at))
 		}
-		if w.occ[0] != 0 || w.occ[1] != 0 || w.occ[2] != 0 {
-			n2 := ((w.curTick >> (2 * levelBits)) + 1) << (2 * levelBits)
-			if w.occ[0] == 0 && w.occ[1] == 0 {
-				p2 := int((w.curTick >> (2 * levelBits)) & bucketMask)
-				d2 := int64((nearestBucket(w.occ[2], p2) - p2) & bucketMask)
-				if start := ((w.curTick >> (2 * levelBits)) + d2) << (2 * levelBits); start > n2 {
-					n2 = start
-				}
-			}
-			w.curTick = n2
-			if i := int((n2 >> (2 * levelBits)) & bucketMask); w.occ[2]&(1<<uint(i)) != 0 {
-				w.cascadeBucket(2, i)
-			}
-			if i := int((n2 >> levelBits) & bucketMask); w.occ[1]&(1<<uint(i)) != 0 {
-				w.cascadeBucket(1, i)
-			}
-			continue
-		}
-		// Wheels empty: jump to the far minimum; the refill above moves it
-		// (and its near neighbors) into the wheels next iteration.
-		w.curTick = tickOf(int64(w.far.min().at))
 	}
+}
+
+// cross advances curTick to the next boundary of the lowest level that
+// holds an event or has one below it, cascading every bucket the new
+// curTick enters, and reports false when every wheel level is empty. When
+// all lower levels are empty it jumps straight to the start of the
+// level's nearest occupied bucket. (Distance 0 cannot occur: the bucket
+// covering curTick cascaded when curTick entered it.) When the boundary
+// lies past a boundary of the level above, that level's crossing comes
+// first.
+func (w *wheel) cross() bool {
+	below := w.occ[0] // occupancy of the levels under lvl
+	for lvl := 1; lvl < numLevels; lvl++ {
+		occ := w.occ[lvl]
+		if below|occ != 0 {
+			shift := uint(lvl) * levelBits
+			slot := w.curTick >> shift
+			next := slot + 1
+			if below == 0 {
+				p := int(slot & bucketMask)
+				if d := int64((nearestBucket(occ, p) - p) & bucketMask); d > 1 {
+					next = slot + d
+				}
+			}
+			n := next << shift
+			if lvl == numLevels-1 || n>>(shift+levelBits) == w.curTick>>(shift+levelBits) {
+				w.curTick = n
+				for l := lvl; l > 0; l-- {
+					if i := int((n >> (uint(l) * levelBits)) & bucketMask); w.occ[l]&(1<<uint(i)) != 0 {
+						w.cascadeBucket(l, i)
+					}
+				}
+				return true
+			}
+		}
+		below |= occ
+	}
+	return false
 }
 
 // cascadeBucket redistributes the bucket at (lvl, idx) into lower levels.
@@ -304,6 +334,7 @@ func (w *wheel) cascadeBucket(lvl, idx int) {
 	b := w.levels[lvl][idx]
 	w.levels[lvl][idx] = b[:0]
 	w.occ[lvl] &^= 1 << uint(idx)
+	w.stats.Cascaded += uint64(len(b))
 	for i, ev := range b {
 		b[i] = nil
 		w.place(ev, tickOf(int64(ev.at)))
@@ -324,7 +355,7 @@ func (w *wheel) drainBucket(idx int) {
 		d[0].index = 0
 		return
 	}
-	// Insertion sort: buckets hold the events of one 65 ns tick — a
+	// Insertion sort: buckets hold the events of one 4.1 ns tick — a
 	// handful at most — and sort.Slice would allocate on the hot path.
 	for i := 1; i < len(d); i++ {
 		ev := d[i]
@@ -344,7 +375,19 @@ func (w *wheel) drainBucket(idx int) {
 // drainInsert files ev into the drain buffer at its (at, seq) position.
 // The engine hands out strictly increasing seq on every (re)schedule, so
 // ev orders after any drained event with an equal timestamp.
+//
+// An empty buffer can meet a non-empty level-0 bucket of curTick itself
+// when curTick ran ahead of the clock and the peeked events were canceled
+// or moved: events scheduled into curTick then went to its bucket. Before
+// ev, earlier than curTick, opens the buffer, that bucket joins it, or
+// curTick events scheduled later would be served ahead of them.
 func (w *wheel) drainInsert(ev *Event) {
+	w.stats.DrainInserts++
+	if len(w.drain) == 0 {
+		if i := int(w.curTick & bucketMask); w.occ[0]&(1<<uint(i)) != 0 {
+			w.drainBucket(i)
+		}
+	}
 	d := w.drain
 	lo, hi := w.drainHead, len(d)
 	for lo < hi {

@@ -15,12 +15,17 @@ import (
 	"repro/internal/units"
 )
 
-const (
-	tickSpan  = units.Duration(1) << tickBits                 // one level-0 bucket
-	l0Horizon = units.Duration(numBuckets) << tickBits        // level-0 reach
-	l1Horizon = units.Duration(numBuckets) << (tickBits + 6)  // level-1 reach
-	l2Horizon = units.Duration(numBuckets) << (tickBits + 12) // level-2 reach
-	farBeyond = 2 * l2Horizon                                 // safely past the wheel
+const tickSpan = units.Duration(1) << tickBits // one level-0 bucket
+
+// horizon returns how far ahead of the current tick level lvl reaches:
+// numBuckets buckets of 2^(lvl*levelBits) ticks each.
+func horizon(lvl int) units.Duration {
+	return units.Duration(numBuckets) << (tickBits + lvl*levelBits)
+}
+
+var (
+	wheelReach = horizon(numLevels - 1) // the top level's reach
+	farBeyond  = 2 * wheelReach         // safely past the wheel
 )
 
 // runOrder drains the engine and returns the firing order of the labels.
@@ -49,12 +54,10 @@ func assertOrder(t *testing.T, got, want []string) {
 // both.
 func TestWheelBucketBoundaryEvents(t *testing.T) {
 	e := New()
-	bounds := []units.Duration{
-		0, 1,
-		tickSpan - 1, tickSpan, tickSpan + 1,
-		l0Horizon - 1, l0Horizon, l0Horizon + 1,
-		l1Horizon - 1, l1Horizon, l1Horizon + 1,
-		l2Horizon - 1, l2Horizon, l2Horizon + 1,
+	bounds := []units.Duration{0, 1, tickSpan - 1, tickSpan, tickSpan + 1}
+	for lvl := 0; lvl < numLevels; lvl++ {
+		h := horizon(lvl)
+		bounds = append(bounds, h-1, h, h+1)
 	}
 	// Schedule in a scrambled order; expect ascending firing times with
 	// FIFO among the duplicates created below.
@@ -84,12 +87,11 @@ func TestWheelBucketBoundaryEvents(t *testing.T) {
 // Reschedule must work across every pair of wheel levels and the far heap,
 // in both directions.
 func TestWheelRescheduleAcrossLevels(t *testing.T) {
-	delays := []units.Duration{
-		1,                // level 0
-		l0Horizon + 5000, // level 1
-		l1Horizon + 5000, // level 2
-		farBeyond,        // far heap
+	delays := []units.Duration{1} // level 0
+	for lvl := 1; lvl < numLevels; lvl++ {
+		delays = append(delays, horizon(lvl-1)+5000) // level lvl
 	}
+	delays = append(delays, farBeyond) // far heap
 	for _, from := range delays {
 		for _, to := range delays {
 			e := New()
@@ -120,6 +122,24 @@ func TestWheelRescheduleIntoCurrentTick(t *testing.T) {
 	assertOrder(t, runOrder(e), []string{"first", "second", "pulled", "third"})
 }
 
+// RunUntil's peek can settle the wheel onto a tick past the clock. If the
+// peeked event is then canceled, events scheduled into that tick go to its
+// bucket; one scheduled earlier reopens the drain buffer, and a later one
+// at the peeked tick must still fire after the bucketed ones (found by
+// FuzzWheelOps).
+func TestWheelPeekedTickKeepsOrder(t *testing.T) {
+	e := New()
+	peek := units.Time(wheelReach / 4)
+	peeked := e.At(peek, "peeked", func() {})
+	e.RunUntil(48) // peeks: the wheel settles onto peek's tick
+	e.Cancel(peeked)
+	e.At(peek+47, "x", func() {})
+	e.At(48, "y", func() {})
+	e.At(peek+47, "z", func() {})
+	e.At(peek+46, "w", func() {})
+	assertOrder(t, runOrder(e), []string{"y", "w", "x", "z"})
+}
+
 // Canceling events that have cascaded from an upper level into lower
 // buckets (and events still ahead of the cascade) must remove exactly the
 // right events.
@@ -128,7 +148,7 @@ func TestWheelCancelAfterCascade(t *testing.T) {
 	// A level-1 bucket holding several events; popping an early event
 	// advances the wheel and cascades them to level 0.
 	early := units.Time(5)
-	inL1 := units.Time(l0Horizon + 10*tickSpan)
+	inL1 := units.Time(horizon(0) + 10*tickSpan)
 	var victims []*Event
 	e.At(early, "early", func() {})
 	for i := 0; i < 4; i++ {
@@ -158,9 +178,9 @@ func TestWheelCancelAfterCascade(t *testing.T) {
 	}
 }
 
-// Events beyond the level-2 horizon overflow into the far heap and must
+// Events beyond the top level's reach overflow into the far heap and must
 // cascade back in firing order, including events scheduled after the wheel
-// has advanced (whose horizon has shifted).
+// has advanced (whose reach has shifted).
 func TestWheelFarFutureOverflow(t *testing.T) {
 	e := New()
 	var want []string
@@ -169,10 +189,16 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	e.At(5, "near", func() {
 		// Scheduled while running: lands between the near event and the
 		// far ones, in a region the wheel has not yet reached.
-		e.After(l1Horizon, "mid", func() {})
+		e.After(horizon(numLevels-2), "mid", func() {})
 	})
+	if got := e.Calendar().FarPushes; got != 2 {
+		t.Fatalf("FarPushes = %d after scheduling far1 and far2, want 2", got)
+	}
 	want = []string{"near", "mid", "far1", "far2"}
 	assertOrder(t, runOrder(e), want)
+	if got := e.Calendar().FarPushes; got != 2 {
+		t.Fatalf("FarPushes = %d after the run, want 2: mid must stay in the wheel", got)
+	}
 }
 
 // nopHandler is a trivial Handler for AfterEvent tests.
@@ -218,14 +244,9 @@ func TestWheelPendingConsistency(t *testing.T) {
 		switch src.Intn(5) {
 		case 0, 1: // schedule at a horizon that exercises every level
 			var d units.Duration
-			switch src.Intn(4) {
-			case 0:
-				d = units.Duration(src.Intn(int(l0Horizon)))
-			case 1:
-				d = units.Duration(src.Intn(int(l1Horizon)))
-			case 2:
-				d = units.Duration(src.Intn(int(l2Horizon)))
-			default:
+			if lvl := src.Intn(numLevels + 1); lvl < numLevels {
+				d = units.Duration(src.Intn(int(horizon(lvl))))
+			} else {
 				d = farBeyond + units.Duration(src.Intn(1<<40))
 			}
 			live = append(live, e.After(d, "p", nopFn))
@@ -244,7 +265,7 @@ func TestWheelPendingConsistency(t *testing.T) {
 				continue
 			}
 			i := src.Intn(len(live))
-			e.Reschedule(live[i], e.Now().Add(units.Duration(src.Intn(int(l2Horizon)))))
+			e.Reschedule(live[i], e.Now().Add(units.Duration(src.Intn(int(wheelReach)))))
 		case 4: // pop
 			if count == 0 {
 				continue
@@ -314,19 +335,15 @@ func TestPropertyWheelMatchesHeapReference(t *testing.T) {
 		// delayFor spreads ops across every wheel level, bucket boundaries
 		// and the far horizon.
 		delayFor := func(op uint32) units.Duration {
-			switch (op >> 3) % 6 {
-			case 0:
+			switch k := int(op>>3) % (numLevels + 3); {
+			case k == 0:
 				return units.Duration(op % uint32(tickSpan)) // same/near tick
-			case 1:
-				return units.Duration(op) % l0Horizon
-			case 2:
-				return (units.Duration(op) << 6) % l1Horizon
-			case 3:
-				return (units.Duration(op) << 12) % l2Horizon
-			case 4: // exact bucket boundaries
+			case k <= numLevels: // level k-1
+				return (units.Duration(op) << (6 * (k - 1))) % horizon(k-1)
+			case k == numLevels+1: // exact bucket boundaries
 				return (units.Duration(op%512) << tickBits)
 			default: // far heap
-				return l2Horizon + (units.Duration(op) << 10)
+				return wheelReach + (units.Duration(op) << 10)
 			}
 		}
 		for _, op := range ops {
