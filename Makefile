@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench fuzz-spec fuzz-checkpoint fuzz-wheel golden parity smoke-examples smoke-specs smoke-serve ci
+.PHONY: all vet build test race bench bench-queue test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench fuzz-spec fuzz-checkpoint fuzz-wheel fuzz-engine golden parity smoke-examples smoke-specs smoke-serve ci
 
 all: vet build test
 
@@ -27,8 +27,13 @@ bench:
 # bench-queue compares the timing-wheel calendar against the 4-ary-heap
 # baseline it replaced (see internal/sim/queue_bench_test.go), on uniform
 # churn, the wake pattern and the delay spectrum the fig8 grid schedules.
+# Beside them it runs the RNIC send-engine queues (BenchmarkEngineQueue,
+# internal/rnic/queue_test.go), one push and one serve per op: the
+# responder engine's heap at depths 1 to 2,048 against the slice scan it
+# replaced, and a data engine's ring at depth 256.
 bench-queue:
 	$(GO) test -run XXX -bench 'BenchmarkQueue' -benchtime 2s ./internal/sim/
+	$(GO) test -run XXX -bench 'BenchmarkEngineQueue' -benchtime 1s ./internal/rnic/
 
 # test-alloc runs the allocation-regression tests: the steady-state hot
 # path (forwarding, converged traffic, incast) must stay at 0 allocs/packet,
@@ -86,6 +91,16 @@ fuzz-checkpoint:
 # same order as the 4-ary heap reference.
 fuzz-wheel:
 	$(GO) test -run '^$$' -fuzz '^FuzzWheelOps$$' -fuzztime 20s ./internal/sim
+
+# fuzz-engine fuzzes the RNIC send-engine queues beyond their seed corpus:
+# for any sequence of pushes (ready times drawn from a few values, so ties
+# are common, at depths into the thousands) and serves, a data engine's
+# ring and the responder engine's heap must each serve the packet the
+# slice queue they replaced would serve. A deep input costs the reference
+# scan tens of milliseconds, so -fuzzminimizetime keeps minimizing one
+# from taking the whole budget.
+fuzz-engine:
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineQueue$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/rnic
 
 # test-faults runs the fault-injection and transport-reliability suite:
 # the fault goldens, the shards 1/2/4 x barrier-mode byte-equivalence of
@@ -218,4 +233,4 @@ smoke-specs:
 # ci runs each test once per mode: plain, -race, debugpackets. The focused
 # -race targets above (test-shard, test-faults, test-serve, test-workload)
 # are subsets of race and stay out of ci; they are local shortcuts.
-ci: vet build test race test-alloc test-debugpackets test-perfbench fuzz-spec fuzz-checkpoint fuzz-wheel smoke-examples smoke-serve
+ci: vet build test race test-alloc test-debugpackets test-perfbench fuzz-spec fuzz-checkpoint fuzz-wheel fuzz-engine smoke-examples smoke-serve

@@ -138,6 +138,48 @@ func TestZeroAllocShardedFatTree(t *testing.T) {
 	}
 }
 
+// TestZeroAllocDeepResponder pins the send engines at zero steady-state
+// allocations while the responder engines are deep: the fault-free 4 KiB
+// all-to-all of the fault_loss spec's fat-tree (3 leaves of 3 hosts, 2
+// spines), where every host runs a 256-deep WRITE pipeline to one host on
+// each other leaf. A destination's responder engine queues the ACKs of its
+// two senders' WRITEs, each behind its payload DMA: over the first 12 ms,
+// 203 queued on average when the engine picks one, and up to 511. A queue
+// that allocates per packet at depth fails here.
+//
+// The warm-up is 10 ms because the NICs' txPacket free lists keep reaching
+// new high-water marks long after the pipelines fill: 520 allocations per
+// 100 steps after 2 ms, 11 after 5 ms, 1 after 10 ms.
+func TestZeroAllocDeepResponder(t *testing.T) {
+	spec := topology.FatTreeSpec{Leaves: 3, HostsPerLeaf: 3, Spines: 2}
+	c, err := topology.FatTree(model.HWTestbed(), spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := spec.NumHosts()
+	for r := 1; r < spec.Leaves; r++ {
+		for i := 0; i < h; i++ {
+			dst := (i + r*spec.HostsPerLeaf) % h
+			bsg, err := traffic.NewBSG(c.NIC(i), c.NIC(dst), traffic.BSGConfig{Payload: 4096})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bsg.Start(0)
+		}
+	}
+	if allocs := measureSteadyState(t, c, units.Time(10*units.Millisecond), 20*units.Microsecond); allocs != 0 {
+		t.Fatalf("all-to-all with deep responders: %.2f allocs per steady-state step, want 0", allocs)
+	}
+	deepest := 0
+	for _, nic := range c.NICs {
+		_, resp := nic.QueuedPackets()
+		deepest = max(deepest, resp)
+	}
+	if deepest < 64 {
+		t.Fatalf("deepest responder engine holds %d packets, want a deep queue (>= 64)", deepest)
+	}
+}
+
 // TestBuildBudgetFatTree512 bounds what building the 512-host three-tier
 // fat-tree on four shards allocates (the fattree512 fabric of the
 // loadlatency sweep, rebuilt by every job). Each switch's forwarding table

@@ -20,6 +20,7 @@ import (
 	"repro/internal/ib"
 	"repro/internal/link"
 	"repro/internal/model"
+	"repro/internal/ring"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -73,50 +74,6 @@ type queuedPacket struct {
 	outPort int
 }
 
-// vlQueue is a growable FIFO ring of queued packets. The seed stored plain
-// slices popped with q[1:], which walks the backing array forward and forces
-// a reallocation on a later append — an amortized heap allocation per
-// forwarded packet. The ring reuses its storage indefinitely: once grown to
-// the steady-state depth it never allocates again. Capacity is always a
-// power of two (grow doubles from 8), so index wrapping is a mask, not a
-// division.
-type vlQueue struct {
-	buf  []queuedPacket
-	head int
-	n    int
-}
-
-func (q *vlQueue) len() int { return q.n }
-
-// front returns the queue head. The pointer is valid until the next push or
-// pop.
-func (q *vlQueue) front() *queuedPacket { return &q.buf[q.head] }
-
-// at returns entry i in FIFO order (diagnostics).
-func (q *vlQueue) at(i int) *queuedPacket { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
-
-func (q *vlQueue) push(p queuedPacket) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
-	q.n++
-}
-
-func (q *vlQueue) pop() {
-	q.buf[q.head] = queuedPacket{} // drop the packet reference
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-}
-
-func (q *vlQueue) grow() {
-	nb := make([]queuedPacket, max(8, 2*len(q.buf)))
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf, q.head = nb, 0
-}
-
 // Port is one switch port: an ingress side (buffers + credit accounting)
 // and an egress side (arbiter state + wire to the attached device).
 type Port struct {
@@ -128,7 +85,7 @@ type Port struct {
 	// upstream transmitter reserves from on a local link, or the receiver
 	// half of a cross-shard split gate.
 	acct   link.IngressAccounting
-	queues [ib.NumVLs]vlQueue
+	queues [ib.NumVLs]ring.Ring[queuedPacket]
 	qbytes [ib.NumVLs]units.ByteSize
 	// vlMask has bit v set iff queues[v] is non-empty — the queue-head
 	// metadata the egress arbiters iterate instead of probing all NumVLs
@@ -424,7 +381,7 @@ func (p *Port) deliver(pkt *ib.Packet, arriveStart, arriveEnd units.Time) {
 	if sw.par.JitterMean > 0 {
 		ready = ready.Add(units.Duration(sw.jitter.Exp(float64(sw.par.JitterMean))))
 	}
-	p.queues[vl].push(queuedPacket{
+	p.queues[vl].Push(queuedPacket{
 		pkt:     pkt,
 		arrival: arriveStart,
 		ready:   ready,
@@ -553,7 +510,7 @@ func (sw *Switch) pick(out *Port) {
 		inActive := false
 		for mask := in.vlMask; mask != 0; mask &= mask - 1 {
 			vl := bits.TrailingZeros16(mask)
-			head := in.queues[vl].front()
+			head := in.queues[vl].Front()
 			if head.outPort != out.idx {
 				continue // head-of-line: rest of this FIFO is blocked
 			}
@@ -604,7 +561,7 @@ func (sw *Switch) pick(out *Port) {
 	sw.transmit(out, chosen, activeInputs)
 	// Park the scratch with its packet references dropped — a grown
 	// candidate buffer on an idle port must not pin packets (same
-	// discipline as vlQueue.pop and the engine queue slots).
+	// discipline as the ring's Pop).
 	clear(eligible)
 	out.elig = eligible[:0]
 }
@@ -788,15 +745,15 @@ func (sw *Switch) transmit(out *Port, c candidate, activeInputs int) {
 	now := sw.eng.Now()
 	in := sw.ports[c.inPort]
 	q := &in.queues[c.vl]
-	if q.len() == 0 || q.front().pkt != c.qp.pkt {
+	if q.Len() == 0 || q.Front().pkt != c.qp.pkt {
 		panic("ibswitch: queue head changed during arbitration")
 	}
 	qp := *c.qp // copy out: pop clears the slot the candidate points into
-	q.pop()
+	q.Pop()
 	in.qbytes[c.vl] -= qp.size
-	if q.len() == 0 {
+	if q.Len() == 0 {
 		in.vlMask &^= 1 << c.vl
-	} else if next := q.front().outPort; next != out.idx {
+	} else if next := q.Front().outPort; next != out.idx {
 		// Dequeuing may expose a head bound for a different egress port;
 		// that port must re-arbitrate or a rare flow behind a busy one
 		// would starve (classic input-queued switch bookkeeping).
@@ -872,8 +829,8 @@ func (sw *Switch) wake(out *Port, at units.Time) {
 func (sw *Switch) QueuedBytes(i int, vl ib.VL) units.ByteSize {
 	var total units.ByteSize
 	q := &sw.ports[i].queues[vl]
-	for j := 0; j < q.len(); j++ {
-		total += q.at(j).size
+	for j := 0; j < q.Len(); j++ {
+		total += q.At(j).size
 	}
 	return total
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/ib"
 	"repro/internal/link"
 	"repro/internal/model"
+	"repro/internal/ring"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -652,21 +653,24 @@ func (le loopEndpoint) DeliverArrival(pkt *ib.Packet, arriveStart, arriveEnd uni
 	r.pkts.Put(pkt)
 }
 
-// engine is one send processing unit: a FIFO of packets injected onto a
+// engine is one send processing unit: a queue of packets injected onto a
 // wire, each occupying the engine for max(per-message cost, serialization).
 type engine struct {
-	r         *RNIC
-	label     string
-	queue     []*txPacket
+	r     *RNIC
+	label string
+	// fifo is a data engine's queue, served in post order to preserve
+	// per-QP WQE ordering; ready is the responder engine's (see reorder).
+	fifo      ring.Ring[*txPacket]
+	ready     readyHeap
 	busyUntil units.Time
 	scheduled *sim.Event // the single pending wake, if any
-	waiting   bool       // blocked on downstream credits
 	waitTx    *txPacket  // the entry the blocked reservation belongs to
+	waiting   bool       // blocked on downstream credits
 	// reorder makes the engine serve the earliest-ready packet instead of
 	// strict FIFO. The responder (ctrl) engine uses it: a SEND's ACK is
 	// ready immediately on receipt, and must not stall behind an earlier
 	// WRITE's ACK that is still waiting for its payload DMA (Fig. 1b vs
-	// 1d). Data engines stay FIFO to preserve per-QP WQE ordering.
+	// 1d).
 	reorder bool
 }
 
@@ -679,18 +683,119 @@ type txPacket struct {
 	// admitted records that the injection limiter already charged this
 	// packet, so a credit-blocked resume does not charge it twice.
 	admitted bool
+	// seq is the responder heap's enqueue sequence; it fills the padding
+	// after the two flags, so the struct stays 48 B.
+	seq uint32
 	// udComplete, when set, delivers the UD completion (Fig. 1c: CQE as
 	// soon as the request is on the wire) — stored inline rather than as a
 	// captured closure.
 	udComplete CompletionFn
 }
 
+// readyHeap is the responder engine's queue: a binary min-heap ordered by
+// (readyAt, enqueue sequence), so it serves the earliest-ready packet and,
+// among packets ready at the same time, the one enqueued first. Push and
+// pop cost O(log n); the order is a linear scan's for the earliest readyAt
+// with the lowest queue index. The heap keys on readyAt as set before
+// enqueue: nothing may write it while the packet is queued.
+type readyHeap struct {
+	s   []*txPacket
+	seq uint32 // stamped on the next push; wraps
+}
+
+// servedBefore reports whether a is served ahead of b. The sequence
+// comparison is wrap-safe while the queued packets' sequences span fewer
+// than 2^31 pushes.
+func servedBefore(a, b *txPacket) bool {
+	if a.readyAt != b.readyAt {
+		return a.readyAt < b.readyAt
+	}
+	return int32(a.seq-b.seq) < 0
+}
+
+func (h *readyHeap) push(tx *txPacket) {
+	tx.seq = h.seq
+	h.seq++
+	h.s = append(h.s, tx)
+	i := len(h.s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !servedBefore(tx, h.s[p]) {
+			break
+		}
+		h.s[i] = h.s[p]
+		i = p
+	}
+	h.s[i] = tx
+}
+
+// pop removes the minimum, h.s[0].
+func (h *readyHeap) pop() {
+	n := len(h.s) - 1
+	last := h.s[n]
+	h.s[n] = nil // clear the vacated slot: the txPacket is recycled
+	h.s = h.s[:n]
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && servedBefore(h.s[c+1], h.s[c]) {
+			c++
+		}
+		if !servedBefore(h.s[c], last) {
+			break
+		}
+		h.s[i] = h.s[c]
+		i = c
+	}
+	h.s[i] = last
+}
+
 func newEngine(r *RNIC, name string) *engine {
 	return &engine{r: r, label: "rnic:" + name}
 }
 
+// queued returns the number of packets waiting in the engine.
+func (e *engine) queued() int {
+	if e.reorder {
+		return len(e.ready.s)
+	}
+	return e.fifo.Len()
+}
+
+// head returns the packet to serve next: a data engine's oldest, the
+// responder engine's earliest-ready. The engine must not be empty.
+func (e *engine) head() *txPacket {
+	if e.reorder {
+		return e.ready.s[0]
+	}
+	return *e.fifo.Front()
+}
+
+func (e *engine) push(tx *txPacket) {
+	if e.reorder {
+		e.ready.push(tx)
+		return
+	}
+	e.fifo.Push(tx)
+}
+
+// pop removes head().
+func (e *engine) pop() {
+	if e.reorder {
+		e.ready.pop()
+		return
+	}
+	e.fifo.Pop()
+}
+
 func (e *engine) enqueue(tx *txPacket) {
-	e.queue = append(e.queue, tx)
+	e.push(tx)
 	if e.r.EagerWakes {
 		e.wake(e.r.eng.Now())
 		return
@@ -699,7 +804,7 @@ func (e *engine) enqueue(tx *txPacket) {
 	if e.waiting {
 		return // blocked on credits; CreditGranted re-arms the engine
 	}
-	if !e.reorder && len(e.queue) > 1 {
+	if !e.reorder && e.fifo.Len() > 1 {
 		return // FIFO head unchanged; its evaluation is already pending
 	}
 	// The new entry cannot inject before it is ready or before its wire
@@ -753,28 +858,12 @@ func (e *engine) CreditGranted() {
 	e.wake(e.r.eng.Now())
 }
 
-// pickIndex selects the queue entry to serve: FIFO for data engines,
-// earliest-ready for the reordering responder engine.
-func (e *engine) pickIndex() int {
-	if !e.reorder {
-		return 0
-	}
-	best := 0
-	for i, tx := range e.queue {
-		if tx.readyAt < e.queue[best].readyAt {
-			best = i
-		}
-	}
-	return best
-}
-
 func (e *engine) process() {
-	if e.waiting || len(e.queue) == 0 {
+	if e.waiting || e.queued() == 0 {
 		return
 	}
 	now := e.r.eng.Now()
-	idx := e.pickIndex()
-	head := e.queue[idx]
+	head := e.head()
 	t := now
 	if head.readyAt > t {
 		t = head.readyAt
@@ -813,22 +902,19 @@ func (e *engine) process() {
 			return
 		}
 	}
+	e.pop()
 	head.pkt.VL = vl
 	injEnd := head.wire.Send(head.pkt)
 	if e.r.rel != nil {
 		e.r.relOnWire(head.pkt)
 	}
 	e.busyUntil = now.Add(head.occupancy)
-	copy(e.queue[idx:], e.queue[idx+1:])
-	last := len(e.queue) - 1
-	e.queue[last] = nil // clear the vacated slot: the txPacket is recycled
-	e.queue = e.queue[:last]
 	if head.udComplete != nil {
 		// Fig. 1c: UD CQE once the request is on the wire.
 		e.r.completeAt(injEnd.Add(e.r.par.CQEDeliver), head.udComplete)
 	}
 	e.r.putTx(head)
-	if len(e.queue) > 0 {
+	if e.queued() > 0 {
 		next := e.busyUntil
 		if now > next {
 			next = now
@@ -838,7 +924,7 @@ func (e *engine) process() {
 			// when this transmit's occupancy ends: an evaluation before
 			// the head is ready (or its wire free) only observes the
 			// constraint and re-arms itself at exactly this time.
-			nh := e.queue[e.pickIndex()]
+			nh := e.head()
 			if nh.readyAt > next {
 				next = nh.readyAt
 			}
@@ -852,3 +938,12 @@ func (e *engine) process() {
 
 // PendingOps reports outstanding un-acked operations (tests).
 func (r *RNIC) PendingOps() int { return r.pendingLive }
+
+// QueuedPackets reports the packets waiting in the data send engines and
+// in the responder engine (tests).
+func (r *RNIC) QueuedPackets() (data, responder int) {
+	for _, e := range r.engines {
+		data += e.queued()
+	}
+	return data, r.ctrl.queued()
+}

@@ -8,10 +8,12 @@ import (
 	"repro/internal/units"
 )
 
-// TestCreditConservationAtQuiescence audits every link's credit once a
-// fabric has gone quiet: after all-pairs RC WRITEs have completed, every
-// registered wire whose gate keeps credit has its whole window back on
-// every VL, and every receiving accounting holds no bytes. It covers
+// TestCreditConservationAtQuiescence audits every link's credit and every
+// NIC's send engines once a fabric has gone quiet: after all-pairs RC
+// WRITEs have completed, every registered wire whose gate keeps credit has
+// its whole window back on every VL, every receiving accounting holds no
+// bytes, and every NIC has no packet left in its data or responder send
+// engines and no operation pending. It covers
 // local links (BufferGate), core links on one and two shards (the split
 // gate), and lossy links whose drops return credit through the fault
 // path, local and cross-shard.
@@ -69,6 +71,14 @@ func TestCreditConservationAtQuiescence(t *testing.T) {
 			if tc.lossy != nil {
 				if _, drops := c.FaultTotals(); drops == 0 {
 					t.Fatal("no packet was dropped: the fault path went unexercised")
+				}
+			}
+			for i, nic := range c.NICs {
+				if data, resp := nic.QueuedPackets(); data != 0 || resp != 0 {
+					t.Errorf("nic %d: %d data and %d responder packets still queued at quiescence", i, data, resp)
+				}
+				if ops := nic.PendingOps(); ops != 0 {
+					t.Errorf("nic %d: %d operations still pending at quiescence", i, ops)
 				}
 			}
 			type window interface {
