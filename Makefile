@@ -152,7 +152,9 @@ smoke-serve:
 	echo "smoke-serve: cold and memo streams byte-identical to ibsim run"
 
 # golden regenerates every golden file under internal/experiments/testdata
-# (the fig7a, incast, bigfabric, slicing, fault and loadlatency sweeps, and
+# (the fig7a, incast, bigfabric, slicing, fault and loadlatency sweeps,
+# fault_counters.golden: the rnr_total, retx_total and qp_errors counters of
+# the fault suites and of a three-tier fault point at 1 and 4 shards, and
 # registry.golden: all registered tables over three seeds),
 # internal/topology/testdata/construction.golden (switch names and ports,
 # the link registry and RNG streams of nine fabrics) and routes.golden

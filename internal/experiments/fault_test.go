@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/topology"
@@ -25,6 +27,53 @@ func faultSuiteGolden(t *testing.T, id, golden string) {
 
 func TestFaultFlapGoldenFile(t *testing.T) { faultSuiteGolden(t, "faultflap", "fault_flap.golden") }
 func TestFaultLossGoldenFile(t *testing.T) { faultSuiteGolden(t, "faultloss", "fault_loss.golden") }
+
+// faultCounters are the reliability counters TestFaultCountersGoldenFile
+// adds to every table it renders.
+var faultCounters = []string{"rnr_total", "retx_total", "qp_errors"}
+
+// TestFaultCountersGoldenFile pins the transport's reliability counters,
+// which the registered suites' tables do not all show: rnr_total (ack
+// timeouts deferred while segments were still queued locally), retx_total
+// and qp_errors. It renders the faultflap and faultloss suites with the
+// counters added to their collect lists, and shardableFaultPoint at 1 and
+// 4 shards, into one golden.
+func TestFaultCountersGoldenFile(t *testing.T) {
+	var out strings.Builder
+	for _, id := range []string{"faultflap", "faultloss"} {
+		d, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		d.Spec.Collect = append([]string(nil), d.Spec.Collect...)
+		for _, m := range faultCounters {
+			if !slices.Contains(d.Spec.Collect, m) {
+				d.Spec.Collect = append(d.Spec.Collect, m)
+			}
+		}
+		tbl, err := RunSpec(d, goldenOpts(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.WriteString(tbl.String())
+	}
+	tbl, err := RunSpec(Definition{
+		ID:    "fault-counters-shards",
+		Title: "Reliability counters of shardableFaultPoint at 1 and 4 shards",
+		Spec: Spec{
+			Sweep: []Axis{{Field: AxisVariant, Variants: []Variant{
+				{Name: "shards-1", Point: shardableFaultPoint(1)},
+				{Name: "shards-4", Point: shardableFaultPoint(4)},
+			}}},
+			Collect: append([]string{"drops_total"}, faultCounters...),
+		},
+	}, goldenOpts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.WriteString(tbl.String())
+	checkGolden(t, "fault_counters.golden", out.String())
+}
 
 // shardableFaultPoint is a three-tier point with every fault class armed:
 // a mid-run flap on a pod uplink (its failover group spans the pod's two
