@@ -103,15 +103,21 @@ fuzz-engine:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineQueue$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/rnic
 
 # test-faults runs the fault-injection and transport-reliability suite:
-# the fault goldens, the shards 1/2/4 x barrier-mode byte-equivalence of
-# fault schedules, and the exactly-once delivery property under heavy
-# random loss — under -race (the retransmission timers run inside the
+# the fault goldens (TestFaultCountersGoldenFile pins rnr_total, retx_total
+# and qp_errors), the shards 1/2/4 x barrier-mode byte-equivalence of
+# fault schedules, the exactly-once delivery property under heavy random
+# loss, TestFaultAckTimersFireOnlyToAct (internal/topology: every fired
+# ack timer retransmits or errors its op out), TestRelDeferrals and
+# TestRelDeferralsAtTies (internal/rnic: the RNR count derived from an op's
+# deadline against an engine timer re-armed every period, and its tie
+# rule on a NIC) — under -race (the retransmission timers run inside the
 # sharded engines) and again with the packet-pool poison mode (dropped and
 # duplicate packets must never be released twice).
 test-faults:
-	$(GO) test -race -run 'Fault|WheelAfterOverflow' \
-		./internal/sim/ ./internal/experiments/
-	$(GO) test -tags debugpackets -run 'Fault' ./internal/experiments/
+	$(GO) test -race -run 'Fault|WheelAfterOverflow|RelDeferrals' \
+		./internal/sim/ ./internal/experiments/ ./internal/topology/ ./internal/rnic/
+	$(GO) test -tags debugpackets -run 'Fault|RelDeferrals' \
+		./internal/experiments/ ./internal/topology/ ./internal/rnic/
 
 # test-serve runs the experiment-service suite under -race — the HTTP
 # surface (byte-equality with ibsim run, 429 shedding, per-job deadlines,

@@ -181,6 +181,14 @@ func TestTxPacketSize(t *testing.T) {
 	}
 }
 
+// TestPendingSlotSize pins pendingSlot at 80 B: the ack deadline fits
+// because retries and queued are int32.
+func TestPendingSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(pendingSlot{}); got != 80 {
+		t.Fatalf("pendingSlot is %d B, want 80", got)
+	}
+}
+
 // BenchmarkEngineQueue holds an engine's queue at a fixed depth; each op
 // pushes one packet and serves one. The responder's pushes are ready at a
 // clock that advances one tick per op plus a jitter of up to 64 ticks,

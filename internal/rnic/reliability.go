@@ -11,16 +11,26 @@
 //
 // Sender, per in-flight operation (pendingSlot):
 //
-//	post ──> armed(timeout T) ──ack/response──> retired (timer canceled)
-//	   armed ──timeout, segments still queued locally──> RNR backoff:
-//	       re-arm at T without consuming a retry (the local engine is
-//	       credit-starved or backlogged; retransmitting would duplicate
-//	       queue entries, not recover loss)
-//	   armed ──timeout, all segments on the wire──> retries++:
+//	post ──> queued(deadline now+T) ──last segment on the wire──>
+//	   armed(T<<retries)
+//	   queued: no timer. Every deadline that passes while segments still
+//	       wait in the local send queue is an RNR-style backoff (no retry
+//	       consumed: the local engine is credit-starved or backlogged, and
+//	       retransmitting would duplicate queue entries, not recover
+//	       loss). The deadlines are the recorded one, then one per T
+//	       (relDeferrals); they are counted, not scheduled.
+//	   queued ──response to an earlier transmission──> retired
+//	   armed ──ack/response──> retired (timer canceled)
+//	   armed ──timeout──> retries++:
 //	       retries > max  -> QP error: terminal completion + QPErrors++
 //	       else           -> go-back-N retransmit of every segment (same
 //	                         MsgID/OpRef/PSNs, fresh pooled packets),
-//	                         re-arm at T<<retries (saturating)
+//	                         queued(deadline now+T<<retries, saturating)
+//
+// An ack timer therefore fires only to act: it retransmits or errors the
+// op out. A deadline equal to the instant the last segment leaves (or the
+// op retires) counts as not yet due; RelStats, read with segments still
+// queued, counts the deadlines at or before the read.
 //
 // Receiver, per (SrcNode, QP) stream: accept PSN == expected (advance);
 // PSN < expected is a duplicate — re-ACK a final data segment (the
@@ -49,7 +59,7 @@ type streamKey struct {
 // when reliability is disabled or no fault ever fired.
 type RelStats struct {
 	Retransmits uint64 // go-back-N retransmissions (per message, not per packet)
-	RNRBackoffs uint64 // timeouts deferred because segments were still queued locally
+	RNRBackoffs uint64 // ack deadlines passed while segments were still queued locally
 	QPErrors    uint64 // operations terminally failed after retry exhaustion
 	DupPSN      uint64 // duplicate segments discarded (or re-ACKed/re-served)
 	Gaps        uint64 // out-of-order segments discarded past a loss
@@ -86,12 +96,21 @@ func (r *RNIC) EnableReliability(ackTimeout units.Duration, maxRetries int) {
 	}
 }
 
-// RelStats snapshots the reliability counters (zero when disabled).
+// RelStats snapshots the reliability counters (zero when disabled). The
+// deferrals of ops whose segments are still queued are added up to now,
+// inclusive: a deadline at now has passed with the op still queued.
 func (r *RNIC) RelStats() RelStats {
 	if r.rel == nil {
 		return RelStats{}
 	}
-	return r.rel.stats
+	st := r.rel.stats
+	now := r.eng.Now()
+	for i := range r.pendingOps {
+		if s := &r.pendingOps[i]; s.live && s.queued > 0 {
+			st.RNRBackoffs += relDeferrals(s.deadline, now, r.rel.ackTimeout)
+		}
+	}
+	return st
 }
 
 // nextPSN reserves n contiguous sequence numbers on a stream.
@@ -130,17 +149,38 @@ func (rel *relState) admit(pkt *ib.Packet) relVerdict {
 }
 
 // relBackoff doubles the base timeout retries times, saturating instead of
-// overflowing (the engine's After additionally clamps now+d to the time
-// horizon).
-func relBackoff(base units.Duration, retries int) units.Duration {
+// overflowing (relDeadline additionally clamps now+d to units.MaxTime).
+func relBackoff(base units.Duration, retries int32) units.Duration {
 	d := base
-	for i := 0; i < retries; i++ {
+	for i := int32(0); i < retries; i++ {
 		if d > units.Duration(math.MaxInt64)/2 {
 			return units.Duration(math.MaxInt64)
 		}
 		d *= 2
 	}
 	return d
+}
+
+// relDeadline is when a timer armed d after now would fire: the engine's
+// After rule, saturating an overflowing now+d to units.MaxTime ("never").
+func relDeadline(now units.Time, d units.Duration) units.Time {
+	at := now.Add(d)
+	if at < now {
+		return units.MaxTime
+	}
+	return at
+}
+
+// relDeferrals counts the ack deadlines first, first+period, first+2*period,
+// ... at or before last: the RNR backoffs of an op whose segments were
+// queued from before first until after last. A timer armed at first and
+// re-armed one period later at each expiry would have fired exactly this
+// often by last. A first deadline of units.MaxTime counts 0.
+func relDeferrals(first, last units.Time, period units.Duration) uint64 {
+	if first > last {
+		return 0
+	}
+	return uint64(last.Sub(first)/period) + 1
 }
 
 // relTimerHandler dispatches ack-timeout events. Payload: Ptr = the RNIC,
@@ -153,16 +193,9 @@ func (relTimerHandler) HandleEvent(ev *sim.Event) {
 	ev.Ptr.(*RNIC).relTimeout(int32(ev.A), uint64(ev.B))
 }
 
-// relArm schedules (or re-schedules) the ack-timeout timer for slot ref.
-func (r *RNIC) relArm(ref int32, msgID uint64, d units.Duration) {
-	ev := r.eng.AfterEvent(d, "rnic:rto", &relTimerDispatch)
-	ev.Ptr = r
-	ev.A, ev.B = int64(ref), int64(msgID)
-	r.pendingOps[ref].timer = ev
-}
-
-// relTimeout is the ack-timeout event body: RNR backoff, retransmit, or
-// terminal QP error (see the state machine in the package comment).
+// relTimeout is the ack-timeout event body: retransmit, or terminal QP
+// error (see the state machine in the package comment). The timer is armed
+// only once every segment is on the wire.
 func (r *RNIC) relTimeout(ref int32, msgID uint64) {
 	if ref < 0 || int(ref) >= len(r.pendingOps) {
 		return
@@ -173,16 +206,7 @@ func (r *RNIC) relTimeout(ref int32, msgID uint64) {
 	}
 	s.timer = nil
 	rel := r.rel
-	if s.queued > 0 {
-		// RNR-style backoff: some segments never made it onto the wire
-		// (credit-starved gate or backlogged engine). The loss, if any, is
-		// local and self-healing; retransmitting now would duplicate queue
-		// entries. Wait another full timeout without consuming a retry.
-		rel.stats.RNRBackoffs++
-		r.relArm(ref, msgID, rel.ackTimeout)
-		return
-	}
-	if s.retries >= rel.maxRetries {
+	if int(s.retries) >= rel.maxRetries {
 		rel.stats.QPErrors++
 		op, ok := r.takeSlot(ref, msgID)
 		if ok {
@@ -200,7 +224,8 @@ func (r *RNIC) relTimeout(ref int32, msgID uint64) {
 
 // retransmit rebuilds and re-enqueues every segment of the slot's
 // operation — same MsgID, OpRef and PSNs, fresh pooled packets — and
-// re-arms the timer with exponential backoff.
+// records the first deadline with exponential backoff; relOnWire arms the
+// timer once the segments are on the wire.
 func (r *RNIC) retransmit(s *pendingSlot, ref int32, msgID uint64) {
 	qp := s.qp
 	op := s.op
@@ -248,17 +273,17 @@ func (r *RNIC) retransmit(s *pendingSlot, ref int32, msgID uint64) {
 		tx.occupancy = r.occupancyFor(pkt.WireSize(), qp.msgCost(r))
 		qp.engine.enqueue(tx)
 	}
-	s.queued = len(segs)
-	r.relArm(ref, msgID, relBackoff(r.rel.ackTimeout, s.retries))
+	s.queued = int32(len(segs))
+	s.deadline = relDeadline(now, relBackoff(r.rel.ackTimeout, s.retries))
 }
 
-// relOnWire marks one of an op's segments as physically injected. The
-// timeout handler distinguishes "in flight, maybe lost" (retransmit) from
-// "still queued locally" (RNR backoff) by the remaining count. When the
-// last segment leaves, the ack timer restarts: the transport timeout
-// measures fabric round-trip from the final transmission, not time spent
-// behind other messages in the local send queue — otherwise any backlogged
-// open-loop sender would retransmit spuriously regardless of loss.
+// relOnWire marks one of an op's segments as physically injected. When
+// the last segment leaves, the deadlines that passed while segments were
+// queued become RNR backoffs, and the ack timer is armed: the transport
+// timeout measures fabric round-trip from the final transmission, not time
+// spent behind other messages in the local send queue — otherwise any
+// backlogged open-loop sender would retransmit spuriously regardless of
+// loss.
 func (r *RNIC) relOnWire(pkt *ib.Packet) {
 	if pkt.OpRef < 0 || pkt.SrcNode != r.node {
 		return
@@ -273,24 +298,33 @@ func (r *RNIC) relOnWire(pkt *ib.Packet) {
 	if s.live && s.msgID == pkt.MsgID && s.qp != nil && s.queued > 0 {
 		s.queued--
 		if s.queued == 0 {
-			if s.timer != nil {
-				r.eng.Cancel(s.timer)
-				s.timer = nil
-			}
-			r.relArm(pkt.OpRef, pkt.MsgID, relBackoff(r.rel.ackTimeout, s.retries))
+			rel := r.rel
+			rel.stats.RNRBackoffs += relDeferrals(s.deadline, r.eng.Now()-1, rel.ackTimeout)
+			ev := r.eng.AfterEvent(relBackoff(rel.ackTimeout, s.retries), "rnic:rto", &relTimerDispatch)
+			ev.Ptr = r
+			ev.A, ev.B = int64(pkt.OpRef), int64(pkt.MsgID)
+			s.timer = ev
 		}
 	}
 }
 
 // relNoteResponse records, just before an op retires, that its response
 // arrived after at least one retransmission — the raw data behind the
-// recovery-time metric.
+// recovery-time metric. A retransmitted op can retire on an earlier
+// transmission's response while its resent segments are still queued; the
+// deadlines that passed before now are its RNR backoffs.
 func (r *RNIC) relNoteResponse(ref int32, msgID uint64, at units.Time) {
 	if ref < 0 || int(ref) >= len(r.pendingOps) {
 		return
 	}
 	s := &r.pendingOps[ref]
-	if s.live && s.msgID == msgID && s.retries > 0 {
+	if !s.live || s.msgID != msgID {
+		return
+	}
+	if s.queued > 0 {
+		r.rel.stats.RNRBackoffs += relDeferrals(s.deadline, r.eng.Now()-1, r.rel.ackTimeout)
+	}
+	if s.retries > 0 {
 		r.rel.stats.Recovered++
 		if at > r.rel.stats.LastRecovery {
 			r.rel.stats.LastRecovery = at

@@ -68,17 +68,18 @@ type pendingOp struct {
 // duplicated OpRef cannot complete someone else's operation. The tail
 // fields exist only for RC reliability (reliability.go) and stay zero on
 // fault-free runs: qp doubles as the "this op is reliability-tracked"
-// marker.
+// marker. The slot is 80 B (TestPendingSlotSize).
 type pendingSlot struct {
 	op    pendingOp
 	msgID uint64
 	live  bool
 
-	timer   *sim.Event // pending ack-timeout, nil when not armed
-	retries int        // retransmissions consumed so far
-	queued  int        // segments enqueued locally but not yet on the wire
-	basePSN uint64     // PSN of segment 0, stable across retransmits
-	qp      *QP        // posting QP, for rebuilding segments on retransmit
+	timer    *sim.Event // ack timer, armed once every segment is on the wire
+	deadline units.Time // first ack deadline while segments are queued
+	retries  int32      // retransmissions consumed so far
+	queued   int32      // segments enqueued locally but not yet on the wire
+	basePSN  uint64     // PSN of segment 0, stable across retransmits
+	qp       *QP        // posting QP, for rebuilding segments on retransmit
 }
 
 // allocSlot registers an in-flight operation and returns its OpRef.
@@ -366,10 +367,12 @@ func (r *RNIC) PostSend(qp *QP, verb ib.Verb, payload units.ByteSize, onComplete
 	r.segScratch = segs[:0]
 	// RC reliability (fault runs only): reserve a contiguous PSN range for
 	// the message and remember enough on the slot to rebuild its segments.
+	// The ack timer is armed once the last segment is on the wire
+	// (relOnWire); until then the slot holds only its first deadline.
 	var basePSN uint64
-	relArmed := false
+	relTracked := false
 	if rel := r.rel; rel != nil && ref >= 0 && !qp.Loopback && qp.Transport == ib.RC {
-		relArmed = true
+		relTracked = true
 		basePSN = rel.nextPSN(streamKey{node: r.node, qp: qp.Num}, uint64(len(segs)))
 	}
 	for i, seg := range segs {
@@ -396,7 +399,7 @@ func (r *RNIC) PostSend(qp *QP, verb ib.Verb, payload units.ByteSize, onComplete
 			pkt.Payload = 0
 			pkt.CreditBytes = payload // requested length rides in the header
 		}
-		if relArmed {
+		if relTracked {
 			pkt.PSN = basePSN + uint64(i)
 		}
 		tx := r.getTx()
@@ -411,12 +414,12 @@ func (r *RNIC) PostSend(qp *QP, verb ib.Verb, payload units.ByteSize, onComplete
 		}
 		qp.engine.enqueue(tx)
 	}
-	if relArmed {
+	if relTracked {
 		s := &r.pendingOps[ref]
 		s.qp = qp
 		s.basePSN = basePSN
-		s.queued = len(segs)
-		r.relArm(ref, msgID, r.rel.ackTimeout)
+		s.queued = int32(len(segs))
+		s.deadline = relDeadline(now, r.rel.ackTimeout)
 	}
 	r.SentMessages++
 	return msgID

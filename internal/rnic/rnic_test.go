@@ -450,3 +450,45 @@ func TestInjectionLimiterSharedAcrossNICs(t *testing.T) {
 		t.Errorf("aggregate goodput = %.2f Gb/s, want ~%.2f (shared bucket)", g, want)
 	}
 }
+
+// TestRelDeferralsAtTies pins the tie rule of the RNR count derived from an
+// op's recorded deadline, on a back-to-back pair: a one-segment RC WRITE
+// posted at 0 leaves its idle NIC at the MMIO doorbell plus the payload
+// DMA. A deadline at that wire instant is not yet due; one picosecond
+// earlier it is one deferral. Read while the segment is still queued,
+// RelStats counts a deadline at the read instant as passed.
+func TestRelDeferralsAtTies(t *testing.T) {
+	const payload units.ByteSize = 64
+	for _, tc := range []struct {
+		name         string
+		shift        units.Duration // ack timeout minus the wire instant
+		read, onWire uint64         // deferrals just before and at the wire instant
+	}{
+		{"deadline 1ps before the wire instant", -1, 1, 1},
+		{"deadline at the wire instant", 0, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := topology.BackToBack(model.HWTestbed(), 1)
+			n := c.NIC(0)
+			par := n.Params()
+			wireAt := units.Time(0).Add(par.MMIOPost + par.DMARead(payload))
+			c.EnableReliability(wireAt.Sub(0)+tc.shift, 7)
+			n.PostSend(n.CreateQP(ib.RC, 1, 0), ib.VerbWrite, payload, nil)
+
+			c.Eng.RunUntil(wireAt - 1)
+			if data, _ := n.QueuedPackets(); data != 1 {
+				t.Fatalf("%d packets queued 1ps before %v, want the one segment", data, wireAt)
+			}
+			if got := n.RelStats().RNRBackoffs; got != tc.read {
+				t.Errorf("read while queued: %d deferrals, want %d", got, tc.read)
+			}
+			c.Eng.RunUntil(wireAt)
+			if data, _ := n.QueuedPackets(); data != 0 {
+				t.Fatalf("segment still queued at %v", wireAt)
+			}
+			if got := n.RelStats().RNRBackoffs; got != tc.onWire {
+				t.Errorf("once on the wire: %d deferrals, want %d", got, tc.onWire)
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ib"
 	"repro/internal/model"
+	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -19,56 +20,30 @@ import (
 // path, local and cross-shard.
 func TestCreditConservationAtQuiescence(t *testing.T) {
 	par := model.HWTestbed()
-	coreLink := model.LinkParams{Bandwidth: 56 * units.Gbps, Propagation: 100 * units.Nanosecond}
-	tiered := FatTreeSpec{Tiers: 3, Pods: 2, Leaves: 2, HostsPerLeaf: 2, Spines: 1, CoreLink: &coreLink}
 	threeTier := func(shards int) func() (*Cluster, error) {
-		return func() (*Cluster, error) { return FatTree3(par, tiered, 1, shards) }
+		return func() (*Cluster, error) { return auditThreeTier(shards) }
 	}
 	for _, tc := range []struct {
 		name  string
 		build func() (*Cluster, error)
-		lossy []string // links with 5% Bernoulli loss, reliability on
+		lossy bool // auditLossyLinks drop 5% of packets, reliability on
 	}{
-		{"star", func() (*Cluster, error) { return Star(par, 7, 1), nil }, nil},
-		{"twotier 3+4", func() (*Cluster, error) { return TwoTier(par, 3, 4, 1), nil }, nil},
-		{"threetier shards 1", threeTier(1), nil},
-		{"threetier shards 2", threeTier(2), nil},
-		{"threetier shards 2 lossy", threeTier(2), []string{"pod0.spine0.p0", "pod0.spine0.p2", "pod1.leaf0.p2", "core0.p1"}},
+		{"star", func() (*Cluster, error) { return Star(par, 7, 1), nil }, false},
+		{"twotier 3+4", func() (*Cluster, error) { return TwoTier(par, 3, 4, 1), nil }, false},
+		{"threetier shards 1", threeTier(1), false},
+		{"threetier shards 2", threeTier(2), false},
+		{"threetier shards 2 lossy", threeTier(2), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := tc.build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.lossy != nil {
-				c.EnableReliability(20*units.Microsecond, 7)
-				for _, name := range tc.lossy {
-					if err := c.SetLinkDrop(name, 0.05); err != nil {
-						t.Fatal(err)
-					}
-				}
+			if tc.lossy {
+				makeLossy(t, c)
 			}
-			n := len(c.NICs)
-			// done[src] counts src's completions, which run on src's shard.
-			done := make([]int, n)
-			for src := 0; src < n; src++ {
-				for dst := 0; dst < n; dst++ {
-					if src == dst {
-						continue
-					}
-					qp := c.NIC(src).CreateQP(ib.RC, ib.NodeID(dst), 0)
-					for k := 0; k < 4; k++ {
-						c.NIC(src).PostSend(qp, ib.VerbWrite, 4*units.KB, func(units.Time) { done[src]++ })
-					}
-				}
-			}
-			c.RunUntil(units.Time(0).Add(20 * units.Millisecond))
-			for src, d := range done {
-				if want := 4 * (n - 1); d != want {
-					t.Fatalf("node %d completed %d of %d messages", src, d, want)
-				}
-			}
-			if tc.lossy != nil {
+			runAllPairsWrites(t, c)
+			if tc.lossy {
 				if _, drops := c.FaultTotals(); drops == 0 {
 					t.Fatal("no packet was dropped: the fault path went unexercised")
 				}
@@ -98,5 +73,101 @@ func TestCreditConservationAtQuiescence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// auditThreeTier builds the audits' three-tier fabric: two pods of two
+// leaves, one spine per pod, two hosts per leaf, and a 100 ns core link.
+func auditThreeTier(shards int) (*Cluster, error) {
+	coreLink := model.LinkParams{Bandwidth: 56 * units.Gbps, Propagation: 100 * units.Nanosecond}
+	spec := FatTreeSpec{Tiers: 3, Pods: 2, Leaves: 2, HostsPerLeaf: 2, Spines: 1, CoreLink: &coreLink}
+	return FatTree3(model.HWTestbed(), spec, 1, shards)
+}
+
+// auditLossyLinks are the links makeLossy drops packets on: two spine
+// egresses, a leaf uplink and a core egress, so losses hit local and
+// cross-shard wires at two shards.
+var auditLossyLinks = []string{"pod0.spine0.p0", "pod0.spine0.p2", "pod1.leaf0.p2", "core0.p1"}
+
+// makeLossy turns on RC reliability (20 µs ack timeout, 7 retries) and 5%
+// Bernoulli loss on auditLossyLinks.
+func makeLossy(t *testing.T, c *Cluster) {
+	t.Helper()
+	c.EnableReliability(20*units.Microsecond, 7)
+	for _, name := range auditLossyLinks {
+		if err := c.SetLinkDrop(name, 0.05); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// runAllPairsWrites posts four 4 KiB RC WRITEs from every NIC to every
+// other, runs the fabric for 20 ms and requires every message completed.
+func runAllPairsWrites(t *testing.T, c *Cluster) {
+	t.Helper()
+	n := len(c.NICs)
+	// done[src] counts src's completions, which run on src's shard.
+	done := make([]int, n)
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			qp := c.NIC(src).CreateQP(ib.RC, ib.NodeID(dst), 0)
+			for k := 0; k < 4; k++ {
+				c.NIC(src).PostSend(qp, ib.VerbWrite, 4*units.KB, func(units.Time) { done[src]++ })
+			}
+		}
+	}
+	c.RunUntil(units.Time(0).Add(20 * units.Millisecond))
+	for src, d := range done {
+		if want := 4 * (n - 1); d != want {
+			t.Fatalf("node %d completed %d of %d messages", src, d, want)
+		}
+	}
+}
+
+// TestFaultAckTimersFireOnlyToAct requires every ack timer that fires to
+// act: on the audit's lossy fabric, the executed rnic:rto events number
+// exactly the retransmissions plus the terminal QP errors. A timer armed
+// while an op's segments still wait in its own send queue would fire only
+// to defer itself (an RNR backoff, counted in RNRBackoffs); the timer is
+// armed once the last segment is on the wire instead, and the deferrals
+// are derived from the recorded deadline. RNRBackoffs must be positive, or
+// the fabric never queued an op past its first deadline and the equality
+// would hold vacuously.
+func TestFaultAckTimersFireOnlyToAct(t *testing.T) {
+	c, err := auditThreeTier(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	makeLossy(t, c)
+	// One counter per shard engine: each engine traces on its own worker.
+	fired := map[*sim.Engine]*uint64{}
+	for _, nic := range c.NICs {
+		eng := nic.Engine()
+		if fired[eng] != nil {
+			continue
+		}
+		n := new(uint64)
+		fired[eng] = n
+		eng.Trace = func(_ units.Time, label string) {
+			if label == "rnic:rto" {
+				*n++
+			}
+		}
+	}
+	runAllPairsWrites(t, c)
+	var timers uint64
+	for _, n := range fired {
+		timers += *n
+	}
+	rel := c.RelTotals()
+	if rel.RNRBackoffs == 0 {
+		t.Fatal("no ack timeout was deferred: no op waited in its send queue past its deadline")
+	}
+	if want := rel.Retransmits + rel.QPErrors; timers != want {
+		t.Errorf("%d ack timers fired, want %d (%d retransmissions + %d QP errors); %d deferrals",
+			timers, want, rel.Retransmits, rel.QPErrors, rel.RNRBackoffs)
 	}
 }
