@@ -98,8 +98,6 @@ const (
 	// AckBytes is the wire size of an RC acknowledgment (LRH + BTH + AETH
 	// + CRCs).
 	AckBytes units.ByteSize = 30
-	// CreditUpdateBytes is the wire size of a per-VL flow-control packet.
-	CreditUpdateBytes units.ByteSize = 8
 	// DefaultMTU is the path MTU used throughout the paper's experiments:
 	// the largest payload evaluated is 4096 B and is carried in a single
 	// packet.
@@ -115,7 +113,6 @@ const (
 	KindAck
 	KindReadRequest  // READ request carries no payload
 	KindReadResponse // READ response carries the payload
-	KindCredit       // link-level flow-control update (not forwarded)
 )
 
 func (k PacketKind) String() string {
@@ -128,8 +125,6 @@ func (k PacketKind) String() string {
 		return "RD_REQ"
 	case KindReadResponse:
 		return "RD_RSP"
-	case KindCredit:
-		return "CREDIT"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -140,8 +135,7 @@ func (k PacketKind) String() string {
 type NodeID int
 
 // Packet is the unit that traverses links and switches. Packets are created
-// by RNICs (or by switches for flow control) and never mutated in flight;
-// switches route them by DestNode.
+// by RNICs and never mutated in flight; switches route them by DestNode.
 type Packet struct {
 	Kind      PacketKind
 	Verb      Verb
@@ -168,9 +162,9 @@ type Packet struct {
 	// VL is assigned per hop from the SL2VL table; it is mutable routing
 	// state, unlike the header fields above.
 	VL VL
-	// CreditVL/CreditBytes describe a KindCredit update.
-	CreditVL    VL
-	CreditBytes units.ByteSize
+	// ReadLength is the number of bytes a READ request asks for; it
+	// carries no payload on the wire.
+	ReadLength units.ByteSize
 }
 
 // WireSize is the number of bytes the packet occupies on a link, including
@@ -185,8 +179,6 @@ func (p *Packet) WireSize() units.ByteSize {
 		return MaxHeaderBytes
 	case KindReadResponse:
 		return p.Payload + MaxHeaderBytes
-	case KindCredit:
-		return CreditUpdateBytes
 	default:
 		return MaxHeaderBytes
 	}

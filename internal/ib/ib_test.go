@@ -66,10 +66,6 @@ func TestWireSize(t *testing.T) {
 	if rrsp.WireSize() != 4096+MaxHeaderBytes {
 		t.Errorf("read response wire size = %d", rrsp.WireSize())
 	}
-	cr := &Packet{Kind: KindCredit}
-	if cr.WireSize() != CreditUpdateBytes {
-		t.Errorf("credit wire size = %d", cr.WireSize())
-	}
 }
 
 func TestHeaderOverheadMatchesPaper(t *testing.T) {
@@ -150,7 +146,7 @@ func TestPacketString(t *testing.T) {
 	if p.String() == "" {
 		t.Fatal("empty packet string")
 	}
-	for _, k := range []PacketKind{KindData, KindAck, KindReadRequest, KindReadResponse, KindCredit, PacketKind(42)} {
+	for _, k := range []PacketKind{KindData, KindAck, KindReadRequest, KindReadResponse, PacketKind(42)} {
 		if k.String() == "" {
 			t.Fatal("empty kind string")
 		}

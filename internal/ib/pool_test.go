@@ -3,14 +3,14 @@ package ib
 import "testing"
 
 // A recycled packet must be indistinguishable from a fresh one: PostSend
-// only writes the fields it uses, so stale state (CreditBytes, VL, OpRef)
+// only writes the fields it uses, so stale state (ReadLength, VL, OpRef)
 // leaking through the pool would corrupt later operations.
 func TestPacketPoolGetReturnsZeroedPacket(t *testing.T) {
 	var p PacketPool
 	pkt := p.Get()
 	pkt.Kind = KindData
 	pkt.Payload = 4096
-	pkt.CreditBytes = 999
+	pkt.ReadLength = 999
 	pkt.VL = 3
 	pkt.OpRef = 17
 	p.Put(pkt)

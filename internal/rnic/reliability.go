@@ -197,84 +197,28 @@ func (relTimerHandler) HandleEvent(ev *sim.Event) {
 // error (see the state machine in the package comment). The timer is armed
 // only once every segment is on the wire.
 func (r *RNIC) relTimeout(ref int32, msgID uint64) {
-	if ref < 0 || int(ref) >= len(r.pendingOps) {
-		return
-	}
-	s := &r.pendingOps[ref]
-	if !s.live || s.msgID != msgID || s.qp == nil {
+	s := r.liveSlot(ref, msgID)
+	if s == nil {
 		return // retired in the same tick
 	}
 	s.timer = nil
 	rel := r.rel
 	if int(s.retries) >= rel.maxRetries {
 		rel.stats.QPErrors++
-		op, ok := r.takeSlot(ref, msgID)
-		if ok {
-			// Terminal "QP error" completion: the CQE fires (closed-loop
-			// drivers keep running instead of hanging) and the failure is
-			// observable through the QPErrors counter.
-			r.completeAt(r.eng.Now(), op.onComplete)
-		}
+		op, _ := r.takeSlot(ref, msgID)
+		// Terminal "QP error" completion: the CQE fires (closed-loop
+		// drivers keep running instead of hanging) and the failure is
+		// observable through the QPErrors counter.
+		r.completeAt(r.eng.Now(), op.onComplete)
 		return
 	}
 	s.retries++
 	rel.stats.Retransmits++
-	r.retransmit(s, ref, msgID)
-}
-
-// retransmit rebuilds and re-enqueues every segment of the slot's
-// operation — same MsgID, OpRef and PSNs, fresh pooled packets — and
-// records the first deadline with exponential backoff; relOnWire arms the
-// timer once the segments are on the wire.
-func (r *RNIC) retransmit(s *pendingSlot, ref int32, msgID uint64) {
-	qp := s.qp
-	op := s.op
-	now := r.eng.Now()
-	ready := now
-	if op.verb != ib.VerbRead {
-		// Hardware retransmission re-fetches the payload over PCIe; there
-		// is no doorbell (the WQE is already resident in the NIC).
-		ready = ready.Add(r.par.DMARead(op.payload))
-	}
-	segs := ib.SegmentAppend(r.segScratch[:0], op.payload, r.par.MTU)
-	if op.verb == ib.VerbRead {
-		segs = append(segs[:0], op.payload)
-	}
-	r.segScratch = segs[:0]
-	for i, seg := range segs {
-		kind := ib.KindData
-		if op.verb == ib.VerbRead {
-			kind = ib.KindReadRequest
-		}
-		pkt := r.pkts.Get()
-		*pkt = ib.Packet{
-			Kind:      kind,
-			Verb:      op.verb,
-			Transport: qp.Transport,
-			SrcNode:   r.node,
-			DestNode:  qp.Peer,
-			QP:        qp.Num,
-			MsgID:     msgID,
-			SeqInMsg:  i,
-			LastInMsg: i == len(segs)-1,
-			Payload:   seg,
-			SL:        qp.SL,
-			OpRef:     ref,
-			PSN:       s.basePSN + uint64(i),
-		}
-		if op.verb == ib.VerbRead {
-			pkt.Payload = 0
-			pkt.CreditBytes = op.payload
-		}
-		tx := r.getTx()
-		tx.pkt = pkt
-		tx.readyAt = ready
-		tx.wire = r.wire
-		tx.occupancy = r.occupancyFor(pkt.WireSize(), qp.msgCost(r))
-		qp.engine.enqueue(tx)
-	}
-	s.queued = int32(len(segs))
-	s.deadline = relDeadline(now, relBackoff(r.rel.ackTimeout, s.retries))
+	// Go-back-N: re-send every segment through the post's request builder,
+	// with the same MsgID, OpRef and PSNs in fresh pooled packets. There is
+	// no doorbell (the WQE is already resident in the NIC), but the payload
+	// is fetched over PCIe again.
+	r.postRequest(s.qp, s.op, msgID, ref, r.eng.Now())
 }
 
 // relOnWire marks one of an op's segments as physically injected. When
@@ -285,26 +229,21 @@ func (r *RNIC) retransmit(s *pendingSlot, ref int32, msgID uint64) {
 // backlogged open-loop sender would retransmit spuriously regardless of
 // loss.
 func (r *RNIC) relOnWire(pkt *ib.Packet) {
-	if pkt.OpRef < 0 || pkt.SrcNode != r.node {
-		return
-	}
 	if pkt.Kind != ib.KindData && pkt.Kind != ib.KindReadRequest {
 		return
 	}
-	if int(pkt.OpRef) >= len(r.pendingOps) {
+	s := r.liveSlot(pkt.OpRef, pkt.MsgID)
+	if s == nil || s.qp == nil || s.queued == 0 {
 		return
 	}
-	s := &r.pendingOps[pkt.OpRef]
-	if s.live && s.msgID == pkt.MsgID && s.qp != nil && s.queued > 0 {
-		s.queued--
-		if s.queued == 0 {
-			rel := r.rel
-			rel.stats.RNRBackoffs += relDeferrals(s.deadline, r.eng.Now()-1, rel.ackTimeout)
-			ev := r.eng.AfterEvent(relBackoff(rel.ackTimeout, s.retries), "rnic:rto", &relTimerDispatch)
-			ev.Ptr = r
-			ev.A, ev.B = int64(pkt.OpRef), int64(pkt.MsgID)
-			s.timer = ev
-		}
+	s.queued--
+	if s.queued == 0 {
+		rel := r.rel
+		rel.stats.RNRBackoffs += relDeferrals(s.deadline, r.eng.Now()-1, rel.ackTimeout)
+		ev := r.eng.AfterEvent(relBackoff(rel.ackTimeout, s.retries), "rnic:rto", &relTimerDispatch)
+		ev.Ptr = r
+		ev.A, ev.B = int64(pkt.OpRef), int64(pkt.MsgID)
+		s.timer = ev
 	}
 }
 
@@ -314,11 +253,8 @@ func (r *RNIC) relOnWire(pkt *ib.Packet) {
 // transmission's response while its resent segments are still queued; the
 // deadlines that passed before now are its RNR backoffs.
 func (r *RNIC) relNoteResponse(ref int32, msgID uint64, at units.Time) {
-	if ref < 0 || int(ref) >= len(r.pendingOps) {
-		return
-	}
-	s := &r.pendingOps[ref]
-	if !s.live || s.msgID != msgID {
+	s := r.liveSlot(ref, msgID)
+	if s == nil {
 		return
 	}
 	if s.queued > 0 {

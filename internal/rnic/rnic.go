@@ -63,9 +63,9 @@ type pendingOp struct {
 	onComplete CompletionFn
 }
 
-// pendingSlot is one slab entry for an in-flight operation. live guards
-// stale references; msgID is double-checked on retire so a forged or
-// duplicated OpRef cannot complete someone else's operation. The tail
+// pendingSlot is one slab entry for an in-flight operation. Every use of a
+// reference checks live and msgID (liveSlot), so a stale, forged or
+// duplicated OpRef cannot reach someone else's operation. The tail
 // fields exist only for RC reliability (reliability.go) and stay zero on
 // fault-free runs: qp doubles as the "this op is reliability-tracked"
 // marker. The slot is 80 B (TestPendingSlotSize).
@@ -83,7 +83,7 @@ type pendingSlot struct {
 }
 
 // allocSlot registers an in-flight operation and returns its OpRef.
-func (r *RNIC) allocSlot(msgID uint64, verb ib.Verb, payload units.ByteSize, cb CompletionFn) int32 {
+func (r *RNIC) allocSlot(msgID uint64, op pendingOp) int32 {
 	var ref int32
 	if n := len(r.freeSlots); n > 0 {
 		ref = r.freeSlots[n-1]
@@ -93,35 +93,39 @@ func (r *RNIC) allocSlot(msgID uint64, verb ib.Verb, payload units.ByteSize, cb 
 		ref = int32(len(r.pendingOps) - 1)
 	}
 	s := &r.pendingOps[ref]
-	s.op = pendingOp{verb: verb, payload: payload, onComplete: cb}
+	s.op = op
 	s.msgID = msgID
 	s.live = true
 	r.pendingLive++
 	return ref
 }
 
-// takeSlot retires slot ref if it is live and matches msgID, returning the
-// operation. Stale, unknown or mismatched references report false — the
-// UD-style duplicate tolerance the map lookup used to provide.
-func (r *RNIC) takeSlot(ref int32, msgID uint64) (pendingOp, bool) {
+// liveSlot returns the slot of operation msgID at ref, or nil when ref is
+// out of range or its slot is retired or holds another message: a stale,
+// duplicated or forged reference never reaches someone else's operation.
+func (r *RNIC) liveSlot(ref int32, msgID uint64) *pendingSlot {
 	if ref < 0 || int(ref) >= len(r.pendingOps) {
-		return pendingOp{}, false
+		return nil
 	}
-	s := &r.pendingOps[ref]
-	if !s.live || s.msgID != msgID {
+	if s := &r.pendingOps[ref]; s.live && s.msgID == msgID {
+		return s
+	}
+	return nil
+}
+
+// takeSlot retires the live operation msgID at ref, returning it. Stale,
+// unknown or mismatched references report false — the UD-style duplicate
+// tolerance the map lookup used to provide.
+func (r *RNIC) takeSlot(ref int32, msgID uint64) (pendingOp, bool) {
+	s := r.liveSlot(ref, msgID)
+	if s == nil {
 		return pendingOp{}, false
 	}
 	op := s.op
 	if s.timer != nil {
 		r.eng.Cancel(s.timer)
-		s.timer = nil
 	}
-	s.op = pendingOp{}
-	s.live = false
-	s.retries = 0
-	s.queued = 0
-	s.basePSN = 0
-	s.qp = nil
+	*s = pendingSlot{}
 	r.pendingLive--
 	r.freeSlots = append(r.freeSlots, ref)
 	return op, true
@@ -162,7 +166,6 @@ type RNIC struct {
 	engines []*engine // data engines
 	ctrl    *engine   // responder engine: ACKs, READ responses
 
-	qps        map[int]*QP
 	nextQPNum  int
 	nextEngine int
 	nextMsgID  uint64
@@ -211,10 +214,6 @@ type RNIC struct {
 	// prove the coalesced scheduler injects the same packets at the same
 	// times.
 	EagerWakes bool
-
-	// Counters for tests and diagnostics.
-	SentMessages uint64
-	RecvMessages uint64
 }
 
 // New builds an RNIC for the given node. jitter must be a dedicated stream.
@@ -225,7 +224,6 @@ func New(eng *sim.Engine, node ib.NodeID, par model.NICParams, jitter *rng.Sourc
 		node:  node,
 		jit:   jitter,
 		sl2vl: ib.DefaultSL2VL(),
-		qps:   make(map[int]*QP),
 	}
 	n := par.SendEngines
 	if n < 1 {
@@ -337,92 +335,83 @@ func (r *RNIC) PostSend(qp *QP, verb ib.Verb, payload units.ByteSize, onComplete
 	}
 	r.nextMsgID++
 	msgID := r.nextMsgID
-	now := r.eng.Now()
-
-	// Local-side pre-wire path: MMIO doorbell, then payload DMA fetch
-	// (READ requests carry no payload and skip the fetch — Fig. 1a).
-	ready := now.Add(r.par.MMIOPost)
-	if verb != ib.VerbRead {
-		ready = ready.Add(r.par.DMARead(payload))
+	op := pendingOp{verb: verb, payload: payload, onComplete: onComplete}
+	// One pending slot per operation that completes on a response: every RC
+	// op (ACK or READ response) and every loopback post (loopback
+	// delivery). Non-loopback UD completes at injection and needs none.
+	ref := int32(-1)
+	if qp.Transport == ib.RC || qp.Loopback {
+		ref = r.allocSlot(msgID, op)
 	}
+	// Local-side pre-wire path: the MMIO doorbell, then postRequest's
+	// payload DMA fetch.
+	r.postRequest(qp, op, msgID, ref, r.eng.Now().Add(r.par.MMIOPost))
+	return msgID
+}
 
+// postRequest builds the request packets of operation msgID (slot ref, or
+// -1) and queues them on qp's engine. ready is when the NIC holds the work
+// request; every verb but READ (Fig. 1a) then fetches its payload over
+// PCIe. A READ sends one request packet carrying the length to read; every
+// other verb sends its payload cut at the MTU. A reliability-tracked op
+// numbers segment i base+i, reserving the range when first posted, and
+// records its first ack deadline; relOnWire arms the timer once the last
+// segment is on the wire. Other packets keep PSN 0. A UD op's completion
+// rides its last segment. Retransmission re-sends through here too, so a
+// re-sent packet is the posted one.
+func (r *RNIC) postRequest(qp *QP, op pendingOp, msgID uint64, ref int32, ready units.Time) {
+	kind := ib.KindData
+	var readLength units.ByteSize
+	segs := r.segScratch[:0]
+	if op.verb == ib.VerbRead {
+		kind, readLength = ib.KindReadRequest, op.payload
+		segs = append(segs, 0)
+	} else {
+		ready = ready.Add(r.par.DMARead(op.payload))
+		segs = ib.SegmentAppend(segs, op.payload, r.par.MTU)
+	}
+	r.segScratch = segs[:0]
 	wire := r.wire
 	if qp.Loopback {
 		wire = r.loopWire
 	}
-
-	// One pending slot per operation that completes on a response: RC
-	// SEND/WRITE (ACK), READ (response), and every loopback post (loopback
-	// delivery). Non-loopback UD completes at injection and needs none.
-	ref := int32(-1)
-	if verb == ib.VerbRead || qp.Loopback ||
-		((verb == ib.VerbSend || verb == ib.VerbWrite) && qp.Transport == ib.RC) {
-		ref = r.allocSlot(msgID, verb, payload, onComplete)
-	}
-
-	segs := ib.SegmentAppend(r.segScratch[:0], payload, r.par.MTU)
-	if verb == ib.VerbRead {
-		segs = append(segs[:0], payload) // single request packet, no payload on the wire
-	}
-	r.segScratch = segs[:0]
-	// RC reliability (fault runs only): reserve a contiguous PSN range for
-	// the message and remember enough on the slot to rebuild its segments.
-	// The ack timer is armed once the last segment is on the wire
-	// (relOnWire); until then the slot holds only its first deadline.
-	var basePSN uint64
-	relTracked := false
-	if rel := r.rel; rel != nil && ref >= 0 && !qp.Loopback && qp.Transport == ib.RC {
-		relTracked = true
-		basePSN = rel.nextPSN(streamKey{node: r.node, qp: qp.Num}, uint64(len(segs)))
+	var s *pendingSlot // set for a reliability-tracked op
+	if r.rel != nil && ref >= 0 && !qp.Loopback && qp.Transport == ib.RC {
+		s = &r.pendingOps[ref]
+		if s.qp == nil {
+			s.qp = qp
+			s.basePSN = r.rel.nextPSN(streamKey{node: r.node, qp: qp.Num}, uint64(len(segs)))
+		}
+		s.queued = int32(len(segs))
+		s.deadline = relDeadline(r.eng.Now(), relBackoff(r.rel.ackTimeout, s.retries))
 	}
 	for i, seg := range segs {
-		kind := ib.KindData
-		if verb == ib.VerbRead {
-			kind = ib.KindReadRequest
-		}
+		last := i == len(segs)-1
 		pkt := r.pkts.Get()
 		*pkt = ib.Packet{
-			Kind:      kind,
-			Verb:      verb,
-			Transport: qp.Transport,
-			SrcNode:   r.node,
-			DestNode:  qp.Peer,
-			QP:        qp.Num,
-			MsgID:     msgID,
-			SeqInMsg:  i,
-			LastInMsg: i == len(segs)-1,
-			Payload:   seg,
-			SL:        qp.SL,
-			OpRef:     ref,
+			Kind:       kind,
+			Verb:       op.verb,
+			Transport:  qp.Transport,
+			SrcNode:    r.node,
+			DestNode:   qp.Peer,
+			QP:         qp.Num,
+			MsgID:      msgID,
+			SeqInMsg:   i,
+			LastInMsg:  last,
+			Payload:    seg,
+			SL:         qp.SL,
+			OpRef:      ref,
+			ReadLength: readLength,
 		}
-		if verb == ib.VerbRead {
-			pkt.Payload = 0
-			pkt.CreditBytes = payload // requested length rides in the header
+		if s != nil {
+			pkt.PSN = s.basePSN + uint64(i)
 		}
-		if relTracked {
-			pkt.PSN = basePSN + uint64(i)
+		var udComplete CompletionFn
+		if last && qp.Transport == ib.UD && !qp.Loopback {
+			udComplete = op.onComplete // Fig. 1c: CQE once the request is on the wire
 		}
-		tx := r.getTx()
-		tx.pkt = pkt
-		tx.readyAt = ready
-		tx.wire = wire
-		tx.occupancy = r.occupancyFor(pkt.WireSize(), qp.msgCost(r))
-		if pkt.LastInMsg && qp.Transport == ib.UD && !qp.Loopback {
-			// Fig. 1c: CQE as soon as the request is on the wire. The
-			// callback rides in the txPacket instead of a closure.
-			tx.udComplete = onComplete
-		}
-		qp.engine.enqueue(tx)
+		qp.engine.enqueue(pkt, ready, wire, qp.msgCost(r), udComplete)
 	}
-	if relTracked {
-		s := &r.pendingOps[ref]
-		s.qp = qp
-		s.basePSN = basePSN
-		s.queued = int32(len(segs))
-		s.deadline = relDeadline(now, r.rel.ackTimeout)
-	}
-	r.SentMessages++
-	return msgID
 }
 
 func (q *QP) msgCost(r *RNIC) units.Duration {
@@ -516,9 +505,6 @@ func (r *RNIC) recvData(pkt *ib.Packet, wireEnd units.Time) {
 	if r.OnDeliver != nil {
 		r.OnDeliver(pkt, wireEnd)
 	}
-	if pkt.LastInMsg {
-		r.RecvMessages++
-	}
 	if pkt.Transport == ib.RC && pkt.LastInMsg {
 		r.sendAck(pkt, wireEnd)
 	}
@@ -567,12 +553,7 @@ func (r *RNIC) sendAck(pkt *ib.Packet, wireEnd units.Time) {
 		SL:        pkt.SL,
 		OpRef:     pkt.OpRef, // echo: lets the requester retire by slab index
 	}
-	tx := r.getTx()
-	tx.pkt = ack
-	tx.readyAt = ackReady
-	tx.wire = r.wire
-	tx.occupancy = r.occupancyFor(ack.WireSize(), r.par.AckTurnaround)
-	r.ctrl.enqueue(tx)
+	r.ctrl.enqueue(ack, ackReady, r.wire, r.par.AckTurnaround, nil)
 }
 
 func (r *RNIC) recvAck(pkt *ib.Packet, wireEnd units.Time) {
@@ -589,7 +570,7 @@ func (r *RNIC) recvAck(pkt *ib.Packet, wireEnd units.Time) {
 // serveRead handles an incoming READ request: DMA read from host memory,
 // then the responder engine streams the payload back (Fig. 1a).
 func (r *RNIC) serveRead(pkt *ib.Packet, wireEnd units.Time) {
-	length := pkt.CreditBytes
+	length := pkt.ReadLength
 	srcNode, qpNum, msgID, sl, ref := pkt.SrcNode, pkt.QP, pkt.MsgID, pkt.SL, pkt.OpRef
 	r.pkts.Put(pkt) // the request is consumed here; responses are new packets
 	ready := wireEnd.Add(r.par.DMARead(length))
@@ -611,12 +592,7 @@ func (r *RNIC) serveRead(pkt *ib.Packet, wireEnd units.Time) {
 			SL:        sl,
 			OpRef:     ref,
 		}
-		tx := r.getTx()
-		tx.pkt = rsp
-		tx.readyAt = ready
-		tx.wire = r.wire
-		tx.occupancy = r.occupancyFor(rsp.WireSize(), r.par.MessageCost)
-		r.ctrl.enqueue(tx)
+		r.ctrl.enqueue(rsp, ready, r.wire, r.par.MessageCost, nil)
 	}
 }
 
@@ -797,7 +773,18 @@ func (e *engine) pop() {
 	e.fifo.Pop()
 }
 
-func (e *engine) enqueue(tx *txPacket) {
+// enqueue is the one step by which a packet enters a send engine: it draws
+// a txPacket, sets the packet's ready time, wire and engine occupancy (at
+// least msgCost), and queues it. udComplete, when set, is a UD op's
+// completion, which fires once the packet is on the wire (Fig. 1c); it
+// rides in the txPacket instead of a closure.
+func (e *engine) enqueue(pkt *ib.Packet, readyAt units.Time, wire *link.Wire, msgCost units.Duration, udComplete CompletionFn) {
+	tx := e.r.getTx()
+	tx.pkt = pkt
+	tx.readyAt = readyAt
+	tx.wire = wire
+	tx.occupancy = e.r.occupancyFor(pkt.WireSize(), msgCost)
+	tx.udComplete = udComplete
 	e.push(tx)
 	if e.r.EagerWakes {
 		e.wake(e.r.eng.Now())
