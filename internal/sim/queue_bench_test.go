@@ -55,7 +55,7 @@ func (e *heapEngine) At(at units.Time, fn func()) *Event {
 	} else {
 		ev = &Event{}
 	}
-	ev.at, ev.seq, ev.fn = at, e.seq, fn
+	ev.at, ev.seq, ev.h = at, e.seq, closure(fn)
 	e.seq++
 	e.q.push(ev)
 	return ev
@@ -66,7 +66,7 @@ func (e *heapEngine) Cancel(ev *Event) {
 		return
 	}
 	e.q.remove(ev.index)
-	ev.fn = nil
+	ev.h = nil
 	e.free = append(e.free, ev)
 }
 
@@ -82,10 +82,10 @@ func (e *heapEngine) Step() bool {
 	}
 	ev := e.q.pop()
 	e.now = ev.at
-	fn := ev.fn
-	ev.fn = nil
+	h := ev.h
+	ev.h = nil
 	e.free = append(e.free, ev)
-	fn()
+	h.HandleEvent(ev)
 	return true
 }
 

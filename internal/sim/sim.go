@@ -56,12 +56,19 @@ type Handler interface {
 	HandleEvent(ev *Event)
 }
 
-// Event is a scheduled action: either a closure (At/After) or a Handler
-// dispatch with an inline payload (AtEvent/AfterEvent).
+// closure is the Handler a func scheduled with At/After rides. A func
+// value is pointer-shaped, so converting one to a Handler allocates
+// nothing.
+type closure func()
+
+func (f closure) HandleEvent(*Event) { f() }
+
+// Event is a scheduled Handler dispatch with an inline payload. Closures
+// scheduled with At/After ride a closure handler and leave the payload
+// unused.
 type Event struct {
 	at    units.Time
 	seq   uint64 // tie-break: FIFO among equal timestamps
-	fn    func()
 	h     Handler
 	index int   // slot within the wheel bucket, drain buffer, or far heap; -1 once popped or canceled
 	lvl   int8  // location code: wheel level, locDrain, or locFar (see wheel.go)
@@ -149,7 +156,6 @@ func (e *Engine) alloc() *Event {
 
 // release returns a fired or canceled Event to the free list.
 func (e *Engine) release(ev *Event) {
-	ev.fn = nil
 	ev.h = nil
 	ev.label = ""
 	ev.Ptr = nil
@@ -159,17 +165,7 @@ func (e *Engine) release(ev *Event) {
 // At schedules fn to run at absolute time at. Scheduling in the past is a
 // programming error and panics, because it would silently corrupt causality.
 func (e *Engine) At(at units.Time, label string, fn func()) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", label, at, e.now))
-	}
-	ev := e.alloc()
-	ev.at = at
-	ev.seq = e.seq
-	ev.fn = fn
-	ev.label = label
-	e.seq++
-	e.queue.push(ev)
-	return ev
+	return e.AtEvent(at, label, handlerOf(fn, label))
 }
 
 // After schedules fn to run d after the current time. A delay so large
@@ -178,14 +174,15 @@ func (e *Engine) At(at units.Time, label string, fn func()) *Event {
 // of wrapping negative — the event is effectively "never", which is the
 // only sensible meaning of a timestamp the clock cannot represent.
 func (e *Engine) After(d units.Duration, label string, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for %q", d, label))
+	return e.AfterEvent(d, label, handlerOf(fn, label))
+}
+
+// handlerOf wraps fn in the closure handler At and After schedule.
+func handlerOf(fn func(), label string) Handler {
+	if fn == nil {
+		panic(fmt.Sprintf("sim: nil func for %q", label))
 	}
-	at := e.now.Add(d)
-	if at < e.now {
-		at = units.MaxTime
-	}
-	return e.At(at, label, fn)
+	return closure(fn)
 }
 
 // AtEvent schedules h.HandleEvent to run at absolute time at, without
@@ -304,11 +301,7 @@ func (e *Engine) Step() bool {
 		e.Trace(ev.at, ev.label)
 	}
 	e.ran++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.h.HandleEvent(ev)
-	}
+	ev.h.HandleEvent(ev)
 	// Recycled only after the body returns, so a handler canceling or
 	// inspecting the event that invoked it observes a stable (fired) state.
 	e.release(ev)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/units"
 )
@@ -101,6 +102,16 @@ func TestAtEventPastPanics(t *testing.T) {
 	e.AtEvent(50, "late", &recHandler{})
 }
 
+func TestAtNilFuncPanics(t *testing.T) {
+	e := New()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil func did not panic")
+		}
+	}()
+	e.At(1, "nil", nil)
+}
+
 func TestAtEventNilHandlerPanics(t *testing.T) {
 	e := New()
 	defer func() {
@@ -128,5 +139,31 @@ func TestTypedEventSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("typed schedule+step allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// A closure rides a handler: converting the pointer-shaped func value to
+// a Handler allocates nothing, so a prebuilt func schedules for free.
+func TestClosureEventSteadyStateZeroAlloc(t *testing.T) {
+	e := New()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.After(units.Duration(i), "warm", fn)
+	}
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.After(10, "steady", fn)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("closure schedule+step allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestEventSize pins Event at 112 B, the allocation size class of an
+// event: one handler field serves closures and typed events alike.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 112 {
+		t.Fatalf("Event is %d B, want 112", got)
 	}
 }
