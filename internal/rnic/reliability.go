@@ -37,6 +37,12 @@
 // original ACK was lost), re-serve a READ request (responses were lost),
 // silently discard other segments; PSN > expected is a gap past a loss —
 // discard and let the requester's timeout drive recovery.
+//
+// Requester, per READ: accept the response segment SeqInMsg == respNext
+// of a live op (advance); discard any other — a segment past a lost one,
+// or one served again after a re-read — before observers see it. The ack
+// timeout re-reads, and the last segment retires the op only once every
+// earlier one has arrived.
 package rnic
 
 import (

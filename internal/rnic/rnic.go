@@ -70,9 +70,10 @@ type pendingOp struct {
 // fault-free runs: qp doubles as the "this op is reliability-tracked"
 // marker. The slot is 80 B (TestPendingSlotSize).
 type pendingSlot struct {
-	op    pendingOp
-	msgID uint64
-	live  bool
+	op       pendingOp
+	msgID    uint64
+	live     bool
+	respNext int32 // next READ response segment a reliability run accepts
 
 	timer    *sim.Event // ack timer, armed once every segment is on the wire
 	deadline units.Time // first ack deadline while segments are queued
@@ -597,6 +598,17 @@ func (r *RNIC) serveRead(pkt *ib.Packet, wireEnd units.Time) {
 }
 
 func (r *RNIC) recvReadResponse(pkt *ib.Packet, wireEnd units.Time) {
+	// Reliability runs accept a live READ's response segments in order. A
+	// segment past a lost one, or served again after a re-read, is dropped
+	// before observers see it; the ack timeout re-reads.
+	if r.rel != nil {
+		s := r.liveSlot(pkt.OpRef, pkt.MsgID)
+		if s == nil || pkt.SeqInMsg != int(s.respNext) {
+			r.pkts.Put(pkt)
+			return
+		}
+		s.respNext++
+	}
 	if r.OnDeliver != nil {
 		r.OnDeliver(pkt, wireEnd)
 	}

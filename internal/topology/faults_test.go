@@ -24,7 +24,9 @@ type retxPosts struct {
 // of a (source, QP, MsgID, SeqInMsg) must carry the first copy's header in
 // every field but the VL, which is set per hop. Every verb posted must
 // have been re-sent, and every operation must complete exactly once with
-// no QP error.
+// no QP error. Every READ must deliver exactly the bytes it asked for to
+// the requester's observers: a response segment lost, or served twice
+// after a re-read, must not show.
 func TestFaultRetransmitResendsPostedPackets(t *testing.T) {
 	const dst = 6
 	var threeVerbs []retxPosts
@@ -42,6 +44,10 @@ func TestFaultRetransmitResendsPostedPackets(t *testing.T) {
 		// SEND and WRITE segments of three MTUs, and READ requests, lost
 		// on their way to node 6.
 		{"requests lost", "tor.p6", threeVerbs},
+		// READ responses of three segments lost on their way back to node
+		// 0: the ack timeout re-reads, and node 6 serves every segment
+		// again.
+		{"read responses lost", "tor.p0", []retxPosts{{0, ib.VerbRead, 10 * units.KB, 200}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := Star(model.HWTestbed(), 7, 1)
@@ -79,7 +85,23 @@ func TestFaultRetransmitResendsPostedPackets(t *testing.T) {
 				}
 			}
 
-			var done []int // completions per op, in post order
+			// Per op, in post order: its completions and, for a READ, its
+			// length, the response bytes its requester's observers saw, and
+			// how many of them had arrived by its CQE.
+			var done []int
+			var asked, got, atCQE []units.ByteSize
+			type readKey struct {
+				src ib.NodeID
+				msg uint64
+			}
+			opOf := map[readKey]int{}
+			for _, nic := range c.NICs {
+				nic.AddDeliverObserver(func(pkt *ib.Packet, _ units.Time) {
+					if op, ok := opOf[readKey{pkt.DestNode, pkt.MsgID}]; ok && pkt.Kind == ib.KindReadResponse {
+						got[op] += pkt.Payload
+					}
+				})
+			}
 			verbs := map[ib.Verb]int{}
 			for _, p := range tc.posts {
 				nic := c.NIC(p.src)
@@ -88,7 +110,15 @@ func TestFaultRetransmitResendsPostedPackets(t *testing.T) {
 				for k := 0; k < p.count; k++ {
 					op := len(done)
 					done = append(done, 0)
-					nic.PostSend(qp, p.verb, p.size, func(units.Time) { done[op]++ })
+					asked, got, atCQE = append(asked, 0), append(got, 0), append(atCQE, 0)
+					msg := nic.PostSend(qp, p.verb, p.size, func(units.Time) {
+						done[op]++
+						atCQE[op] = got[op]
+					})
+					if p.verb == ib.VerbRead {
+						asked[op] = p.size
+						opOf[readKey{ib.NodeID(p.src), msg}] = op
+					}
 				}
 			}
 			c.RunUntil(units.Time(0).Add(20 * units.Millisecond))
@@ -108,6 +138,18 @@ func TestFaultRetransmitResendsPostedPackets(t *testing.T) {
 			}
 			if rel := c.RelTotals(); rel.QPErrors != 0 {
 				t.Errorf("%d QP errors: an op exhausted its retries", rel.QPErrors)
+			}
+			short, over := 0, 0
+			for op, n := range asked {
+				if atCQE[op] < n {
+					short++
+				}
+				if got[op] > n {
+					over++
+				}
+			}
+			if short+over > 0 {
+				t.Errorf("of %d READs, %d completed with fewer bytes than asked and %d delivered more", verbs[ib.VerbRead], short, over)
 			}
 			t.Logf("re-sent copies: %d SEND, %d WRITE, %d READ; %d ops", resent[ib.VerbSend], resent[ib.VerbWrite], resent[ib.VerbRead], len(done))
 		})
