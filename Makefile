@@ -175,9 +175,13 @@ golden:
 # `git archive` under .bench_build/parity/, the working tree's beside it,
 # and both render `list`, every listed id (300us measured after 100us of
 # warmup, two seeds) and every committed spec at -parallel 1 and 2, and
-# `export` of every id. Errors and exit codes are part of the output. A
-# refactor that claims unchanged output runs `make parity BASE=<parent>`;
-# it stays out of ci, whose checkouts have no parent commit.
+# `export` of every id. The short windows end before fault_flap's flap
+# (400-500us) starts and let few of fault_loss's ack timeouts fire, so
+# both sides also render each specs/fault_*.json at its default windows
+# (three seeds, -parallel 2; about 3 s per side). Errors and exit codes
+# are part of the output. A refactor that claims unchanged output runs
+# `make parity BASE=<parent>`; it stays out of ci, whose checkouts have no
+# parent commit.
 BASE ?= HEAD
 PARITY := .bench_build/parity
 parity:
@@ -190,7 +194,7 @@ parity:
 	win='-format jsonl -measure 300us -warmup 100us -seeds 2'; \
 	for side in base work; do \
 		bin=$(PARITY)/ibsim-$$side; out=$(PARITY)/$$side; \
-		echo "== $$side: $$(echo $$ids | wc -w) ids, specs, exports"; \
+		echo "== $$side: $$(echo $$ids | wc -w) ids, specs, exports, fault specs at default windows"; \
 		"$$bin" list >$$out/list 2>&1 || echo "exit $$?" >>$$out/list; \
 		for id in $$ids; do \
 			"$$bin" export -id $$id >$$out/$$id.export 2>&1 || echo "exit $$?" >>$$out/$$id.export; \
@@ -203,6 +207,10 @@ parity:
 				o=$$out/$$(echo $$f | tr / _).p$$p; \
 				"$$bin" run -spec $$f $$win -parallel $$p >$$o 2>&1 || echo "exit $$?" >>$$o; \
 			done; \
+		done; \
+		for f in specs/fault_*.json; do \
+			o=$$out/$$(echo $$f | tr / _).default; \
+			"$$bin" run -spec $$f -format jsonl -seeds 3 -parallel 2 >$$o 2>&1 || echo "exit $$?" >>$$o; \
 		done; \
 	done; \
 	diff -r $(PARITY)/base $(PARITY)/work; \
