@@ -239,7 +239,7 @@ func (r *RNIC) relOnWire(pkt *ib.Packet) {
 		return
 	}
 	s := r.liveSlot(pkt.OpRef, pkt.MsgID)
-	if s == nil || s.qp == nil || s.queued == 0 {
+	if s == nil || s.queued == 0 { // only a tracked op counts its queued segments
 		return
 	}
 	s.queued--

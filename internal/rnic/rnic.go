@@ -377,7 +377,7 @@ func (r *RNIC) postRequest(qp *QP, op pendingOp, msgID uint64, ref int32, ready 
 		wire = r.loopWire
 	}
 	var s *pendingSlot // set for a reliability-tracked op
-	if r.rel != nil && ref >= 0 && !qp.Loopback && qp.Transport == ib.RC {
+	if r.rel != nil && qp.Transport == ib.RC && !qp.Loopback {
 		s = &r.pendingOps[ref]
 		if s.qp == nil {
 			s.qp = qp
