@@ -183,16 +183,23 @@ func TestZeroAllocDeepResponder(t *testing.T) {
 // TestBuildBudgetFatTree512 bounds what building the 512-host three-tier
 // fat-tree on four shards allocates (the fattree512 fabric of the
 // loadlatency sweep, rebuilt by every job). Each switch's forwarding table
-// is one slice sized at construction; a per-destination map in its place,
-// for routes or for failover groups, costs several MB per build and fails
-// the bytes bound. Each switch ingress has one credit accounting: a
+// is one slice of 6 B entries sized at construction; a per-destination map
+// in its place, for routes or for failover groups, costs several MB per
+// build, and 12 B entries (int32 fields) 2.80 MB: both fail the bytes
+// bound. Each switch port and each credit gate holds VL0's state inline
+// and grows only when SetSL2VL installs a table that reaches a higher VL;
+// an [ib.NumVLs] array back in the ports (5.10 MB), in BufferGate's
+// receiver state (3.61 MB) or in the send windows (3.09 MB) fails the
+// bytes bound (all of them together measured 4.81 MB before the forwarding
+// entries shrank). Each switch ingress has one credit accounting: a
 // BufferGate on a local link, the split gate's receiver half on a core
 // link, whose ingress builds no BufferGate; an idle BufferGate on each of
-// the 256 core-link ingresses (5.40 MB, 25,999 allocations) fails both
-// bounds. The QP map each NIC once built and nothing read (24.7 KB and 512
-// allocations per build) fails the allocation bound. Measured:
-// 4.81 MB and 24,720 allocations per build; the allocation bound sits
-// about 1% above that, the bytes bound 8%.
+// the 256 core-link ingresses (2.59 MB, 25,488 allocations) fails the
+// allocation bound, as does the QP map each NIC once built and nothing
+// read (24.7 KB and 512 allocations per build). Measured: 2.50 MB and
+// 24,720 allocations per build; the allocation bound sits about 1% above
+// that, the bytes bound 8%. The test logs both, so `make test-alloc`
+// (-v) shows the headroom.
 func TestBuildBudgetFatTree512(t *testing.T) {
 	coreLink := model.LinkParams{Bandwidth: 56 * units.Gbps, Propagation: 100 * units.Nanosecond}
 	spec := topology.FatTreeSpec{Tiers: 3, Pods: 8, Leaves: 8, HostsPerLeaf: 8, Spines: 4, CoreLink: &coreLink}
@@ -205,11 +212,10 @@ func TestBuildBudgetFatTree512(t *testing.T) {
 	const maxAllocs = 25_000
 	// The race detector's sync.Pool drops items at random, so fmt's
 	// printers are allocated anew there: about 0.33 MB more per build
-	// (5.31 MB; 5.75 MB with the idle gates), and an allocation count that
-	// varies from run to run.
-	maxBytes := uint64(5_200_000)
+	// (2.82-2.84 MB), and an allocation count that varies from run to run.
+	maxBytes := uint64(2_700_000)
 	if raceEnabled {
-		maxBytes = 5_550_000
+		maxBytes = 3_050_000
 	}
 	build() // warm-up: first-use allocations are not per build
 	var before, after runtime.MemStats
@@ -218,13 +224,18 @@ func TestBuildBudgetFatTree512(t *testing.T) {
 		build()
 	}
 	runtime.ReadMemStats(&after)
-	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > maxBytes {
-		t.Errorf("512-host build: %d bytes, budget %d", bytes, maxBytes)
+	// report fails the test only for a measurement over its budget.
+	report := func(over bool) func(string, ...any) {
+		if over {
+			return t.Errorf
+		}
+		return t.Logf
 	}
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	report(bytes > maxBytes)("512-host build: %d bytes, budget %d", bytes, maxBytes)
 	if raceEnabled {
 		return
 	}
-	if allocs := testing.AllocsPerRun(runs, build); allocs > maxAllocs {
-		t.Errorf("512-host build: %.0f allocations, budget %d", allocs, maxAllocs)
-	}
+	allocs := testing.AllocsPerRun(runs, build)
+	report(allocs > maxAllocs)("512-host build: %.0f allocations, budget %d", allocs, maxAllocs)
 }

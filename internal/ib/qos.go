@@ -28,6 +28,17 @@ func (t SL2VL) Map(sl SL) VL {
 	return t[sl]
 }
 
+// OperationalVLs is the number of VLs a port needs to carry the traffic
+// this table maps: its highest VL + 1 (InfiniBand's
+// PortInfo:OperationalVLs). The default table needs VL0 only.
+func (t SL2VL) OperationalVLs() int {
+	top := VL(0)
+	for _, vl := range t {
+		top = max(top, vl)
+	}
+	return int(top) + 1
+}
+
 // VLArbEntry gives one VL a service weight. Weight is expressed in bytes of
 // credit per arbitration round; the IB spec counts weight in 64-byte units,
 // so helpers below convert.

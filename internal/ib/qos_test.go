@@ -24,6 +24,26 @@ func TestDedicatedSL2VL(t *testing.T) {
 	}
 }
 
+func TestSL2VLOperationalVLs(t *testing.T) {
+	slices, err := SliceSL2VL([]SL{4, 0, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		table SL2VL
+		want  int
+	}{
+		{"default", DefaultSL2VL(), 1},
+		{"dedicated", DedicatedSL2VL(), 2},
+		{"three tenant slices", slices, 3},
+	} {
+		if got := tc.table.OperationalVLs(); got != tc.want {
+			t.Errorf("%s table: %d operational VLs, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestSL2VLClampsOutOfRange(t *testing.T) {
 	m := DedicatedSL2VL()
 	if m.Map(SL(200)) != m.Map(MaxSL) {

@@ -14,6 +14,7 @@ package ibswitch
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -74,6 +75,13 @@ type queuedPacket struct {
 	outPort int
 }
 
+// inputVL is one VL of a port's input buffer: its FIFO and the bytes the
+// FIFO holds.
+type inputVL struct {
+	q     ring.Ring[queuedPacket]
+	bytes units.ByteSize
+}
+
 // Port is one switch port: an ingress side (buffers + credit accounting)
 // and an egress side (arbiter state + wire to the attached device).
 type Port struct {
@@ -84,12 +92,14 @@ type Port struct {
 	// departure drives, installed by SetIngress: the BufferGate the
 	// upstream transmitter reserves from on a local link, or the receiver
 	// half of a cross-shard split gate.
-	acct   link.IngressAccounting
-	queues [ib.NumVLs]ring.Ring[queuedPacket]
-	qbytes [ib.NumVLs]units.ByteSize
-	// vlMask has bit v set iff queues[v] is non-empty — the queue-head
-	// metadata the egress arbiters iterate instead of probing all NumVLs
-	// rings of every input port on every pick.
+	acct link.IngressAccounting
+	// vls is the input buffer of each provisioned VL: vls0's storage until
+	// SetSL2VL installs a table that reaches a higher VL.
+	vls  []inputVL
+	vls0 [1]inputVL
+	// vlMask has bit v set iff vls[v]'s queue is non-empty — the queue-head
+	// metadata the egress arbiters iterate instead of probing every
+	// provisioned VL of every input port on every pick.
 	vlMask  uint16
 	departH departHandler
 
@@ -181,14 +191,20 @@ type Switch struct {
 }
 
 // route is one forwarding-table entry: the egress port, -1 while unset,
-// and the failover range [first, first+n) (n = 0: no group).
-type route struct{ port, first, n int32 }
+// and the failover range [first, first+n) (n = 0: no group). Port numbers
+// fit 16 bits because New refuses a larger radix.
+type route struct{ port, first, n int16 }
 
 // New builds a switch with nPorts ports and a forwarding table for the
 // destinations 0..nDests-1, every entry unset. A port that receives
-// packets needs its ingress accounting installed (SetIngress). The jitter
-// source must be dedicated to this switch for reproducibility.
+// packets needs its ingress accounting installed (SetIngress). Every port
+// and the per-VL state of what is attached to it serve VL0 until SetSL2VL
+// installs a table that reaches higher VLs. The jitter source must be
+// dedicated to this switch for reproducibility.
 func New(eng *sim.Engine, name string, par model.SwitchParams, nPorts, nDests int, jitter *rng.Source) *Switch {
+	if nPorts > math.MaxInt16 {
+		panic(fmt.Sprintf("ibswitch %s: radix %d exceeds the forwarding table's %d ports", name, nPorts, math.MaxInt16))
+	}
 	sw := &Switch{
 		eng:    eng,
 		par:    par,
@@ -202,6 +218,7 @@ func New(eng *sim.Engine, name string, par model.SwitchParams, nPorts, nDests in
 	sw.listed = listedVLs(sw.vlarb)
 	for i := 0; i < nPorts; i++ {
 		p := &Port{sw: sw, idx: i}
+		p.vls = p.vls0[:]
 		p.departH.p = p
 		sw.ports = append(sw.ports, p)
 	}
@@ -220,8 +237,35 @@ func (sw *Switch) NumPorts() int { return len(sw.ports) }
 // SetPolicy selects the egress scheduling policy.
 func (sw *Switch) SetPolicy(p Policy) { sw.policy = p }
 
-// SetSL2VL installs the SL-to-VL mapping table.
-func (sw *Switch) SetSL2VL(t ib.SL2VL) { sw.sl2vl = t }
+// SetSL2VL installs the SL-to-VL mapping table. A table that reaches a
+// higher VL than the ports serve grows every port to its operational VLs:
+// the input buffers, the ingress accounting and the egress gate. Install it
+// before traffic starts; what SetIngress and AttachWire install later is
+// grown as they install it.
+func (sw *Switch) SetSL2VL(t ib.SL2VL) {
+	n := t.OperationalVLs()
+	if n > ib.NumVLs {
+		panic(fmt.Sprintf("ibswitch %s: SL-to-VL table maps to VL %d, past the modeled VL%d", sw.name, n-1, ib.MaxVL))
+	}
+	sw.sl2vl = t
+	for _, p := range sw.ports {
+		if n > len(p.vls) {
+			p.vls = append(p.vls, make([]inputVL, n-len(p.vls))...)
+			sw.provision(p.acct, n)
+			sw.provision(p.egate, n)
+		}
+	}
+}
+
+// provision grows v's per-VL state to n VLs when v keeps any (a
+// link.Provisioner), with this switch's windows. link.Unlimited and a port
+// with nothing installed keep none. For n = 1 there is nothing to grow,
+// and skipping the call keeps the method value from being allocated.
+func (sw *Switch) provision(v any, n int) {
+	if pv, ok := v.(link.Provisioner); ok && n > 1 {
+		pv.ProvisionVLs(n, sw.par.WindowFor)
+	}
+}
 
 // SetVLArb installs the VL arbitration tables (used when the policy is
 // VLArb).
@@ -271,7 +315,7 @@ func (sw *Switch) SetPortDown(i int, down bool) {
 // deterministic and allocation-free. With an empty range or no survivor
 // the primary is kept — the packet queues and waits for the heal.
 func (sw *Switch) failover(dest ib.NodeID, r route) int {
-	first, end := int(r.first), int(r.first+r.n)
+	first, end := int(r.first), int(r.first)+int(r.n)
 	alive := 0
 	for p := first; p < end; p++ {
 		if !sw.portDown[p] {
@@ -307,7 +351,7 @@ func (sw *Switch) SetRoute(dest ib.NodeID, port, first, n int) {
 	case first < 0 || n < 0 || first+n > len(sw.ports):
 		panic(fmt.Sprintf("ibswitch %s: failover range [%d, %d) outside its %d ports", sw.name, first, first+n, len(sw.ports)))
 	}
-	sw.routes[dest] = route{port: int32(port), first: int32(first), n: int32(n)}
+	sw.routes[dest] = route{port: int16(port), first: int16(first), n: int16(n)}
 }
 
 // Route returns dest's egress port and its failover ports (nil for no
@@ -317,8 +361,8 @@ func (sw *Switch) Route(dest ib.NodeID) (port int, failover []int) {
 		return -1, nil
 	}
 	r := sw.routes[dest]
-	for p := r.first; p < r.first+r.n; p++ {
-		failover = append(failover, int(p))
+	for p := int(r.first); p < int(r.first)+int(r.n); p++ {
+		failover = append(failover, p)
 	}
 	return int(r.port), failover
 }
@@ -333,20 +377,25 @@ func (sw *Switch) AttachPeer(i int, linkPar model.LinkParams, peer link.Endpoint
 // AttachWire makes w port i's egress wire: a local one, or a cross-shard
 // one toward a device on another shard. Whenever the wire's gate releases
 // credit — a local BufferGate's return, or a CrossSendGate's mailbox
-// credit — the egress re-arms.
+// credit — the egress re-arms. The gate is grown to the VLs the port
+// serves.
 func (sw *Switch) AttachWire(i int, w *link.Wire) {
 	p := sw.ports[i]
 	p.wire = w
 	p.egate = w.Gate()
 	p.egate.OnRelease(func() { sw.kick(p) })
+	sw.provision(p.egate, len(p.vls))
 }
 
 // SetIngress installs port i's ingress accounting, which the port's
 // arrivals and departures drive: a BufferGate the upstream transmitter
 // reserves from, or the receiver half of a cross-shard split gate whose
-// departures return credit to the remote CrossSendGate.
+// departures return credit to the remote CrossSendGate. It is grown to the
+// VLs the port serves.
 func (sw *Switch) SetIngress(i int, acct link.IngressAccounting) {
-	sw.ports[i].acct = acct
+	p := sw.ports[i]
+	p.acct = acct
+	sw.provision(acct, len(p.vls))
 }
 
 // EgressWire returns port i's egress wire (nil when unattached). The
@@ -381,7 +430,8 @@ func (p *Port) deliver(pkt *ib.Packet, arriveStart, arriveEnd units.Time) {
 	if sw.par.JitterMean > 0 {
 		ready = ready.Add(units.Duration(sw.jitter.Exp(float64(sw.par.JitterMean))))
 	}
-	p.queues[vl].Push(queuedPacket{
+	iv := &p.vls[vl]
+	iv.q.Push(queuedPacket{
 		pkt:     pkt,
 		arrival: arriveStart,
 		ready:   ready,
@@ -389,22 +439,27 @@ func (p *Port) deliver(pkt *ib.Packet, arriveStart, arriveEnd units.Time) {
 		outPort: out,
 	})
 	p.vlMask |= 1 << vl
-	p.qbytes[vl] += pkt.WireSize()
+	iv.bytes += pkt.WireSize()
 	sw.ports[out].backlog++
-	// The new packet cannot be served before its cut-through gate opens;
-	// waking the egress sooner on its behalf would only observe an unready
-	// head and re-arm itself at exactly this time. Earlier candidates keep
-	// their earlier pending wake (wake takes the minimum).
-	at := sw.eng.Now()
-	if ready > at && !sw.EagerWakes {
-		at = ready
-	}
-	sw.wake(sw.ports[out], at)
+	sw.wakeHead(sw.ports[out], ready)
 }
 
 // kick schedules an immediate egress evaluation for out.
 func (sw *Switch) kick(out *Port) {
 	sw.wake(out, sw.eng.Now())
+}
+
+// wakeHead wakes out on behalf of a queue head bound to it — one that just
+// arrived, or one a dequeue exposed — whose cut-through gate opens at
+// ready. Waking the egress sooner would only observe the unready head and
+// re-arm itself at exactly ready. Earlier candidates keep their earlier
+// pending wake (wake takes the minimum).
+func (sw *Switch) wakeHead(out *Port, ready units.Time) {
+	at := sw.eng.Now()
+	if ready > at && !sw.EagerWakes {
+		at = ready
+	}
+	sw.wake(out, at)
 }
 
 // arbBacklogThreshold is the standing-backlog size (two full 4 KB frames)
@@ -510,14 +565,15 @@ func (sw *Switch) pick(out *Port) {
 		inActive := false
 		for mask := in.vlMask; mask != 0; mask &= mask - 1 {
 			vl := bits.TrailingZeros16(mask)
-			head := in.queues[vl].Front()
+			iv := &in.vls[vl]
+			head := iv.q.Front()
 			if head.outPort != out.idx {
 				continue // head-of-line: rest of this FIFO is blocked
 			}
 			// The rearbitration overhead applies between inputs with
 			// standing backlogs; a port holding less than two full frames
 			// (e.g. the LSG's lone 64 B probe) does not slow the crossbar.
-			if in.qbytes[vl] > arbBacklogThreshold {
+			if iv.bytes > arbBacklogThreshold {
 				inActive = true
 			}
 			if head.ready > now {
@@ -744,20 +800,22 @@ func (sw *Switch) replenish(st *vlarbState) {
 func (sw *Switch) transmit(out *Port, c candidate, activeInputs int) {
 	now := sw.eng.Now()
 	in := sw.ports[c.inPort]
-	q := &in.queues[c.vl]
+	iv := &in.vls[c.vl]
+	q := &iv.q
 	if q.Len() == 0 || q.Front().pkt != c.qp.pkt {
 		panic("ibswitch: queue head changed during arbitration")
 	}
 	qp := *c.qp // copy out: pop clears the slot the candidate points into
 	q.Pop()
-	in.qbytes[c.vl] -= qp.size
+	iv.bytes -= qp.size
 	if q.Len() == 0 {
 		in.vlMask &^= 1 << c.vl
-	} else if next := q.Front().outPort; next != out.idx {
+	} else if next := q.Front(); next.outPort != out.idx {
 		// Dequeuing may expose a head bound for a different egress port;
-		// that port must re-arbitrate or a rare flow behind a busy one
-		// would starve (classic input-queued switch bookkeeping).
-		sw.kick(sw.ports[next])
+		// that port must re-arbitrate once the head is ready, or a rare
+		// flow behind a busy one would starve (classic input-queued switch
+		// bookkeeping).
+		sw.wakeHead(sw.ports[next.outPort], next.ready)
 	}
 
 	if lim := sw.limits[c.vl]; lim != nil {
@@ -825,10 +883,14 @@ func (sw *Switch) wake(out *Port, at units.Time) {
 }
 
 // QueuedBytes reports the total bytes buffered at input port i for vl
-// (diagnostics and tests).
+// (diagnostics and tests): none on a VL the port does not serve.
 func (sw *Switch) QueuedBytes(i int, vl ib.VL) units.ByteSize {
+	p := sw.ports[i]
+	if int(vl) >= len(p.vls) {
+		return 0
+	}
 	var total units.ByteSize
-	q := &sw.ports[i].queues[vl]
+	q := &p.vls[vl].q
 	for j := 0; j < q.Len(); j++ {
 		total += q.At(j).size
 	}

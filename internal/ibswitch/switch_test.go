@@ -3,6 +3,7 @@ package ibswitch_test
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ib"
 	"repro/internal/ibswitch"
@@ -145,27 +146,103 @@ func TestMissingRoutePanics(t *testing.T) {
 }
 
 // TestInvalidRoutePanics: SetRoute rejects an entry the table cannot hold,
+// and New a radix whose port numbers its 16-bit entries cannot hold, each
 // naming the switch.
 func TestInvalidRoutePanics(t *testing.T) {
+	setRoute := func(dest ib.NodeID, port, first, ngroup int) func(*testing.T) {
+		return func(t *testing.T) {
+			newHarness(t, simParams(), 2).sw.SetRoute(dest, port, first, ngroup)
+		}
+	}
 	for _, tc := range []struct {
-		name                string
-		dest                ib.NodeID
-		port, first, ngroup int
+		name string
+		do   func(*testing.T)
 	}{
-		{"port past the last", 1, 9, 0, 0},
-		{"failover range past the last port", 1, 0, 1, 2},
-		{"destination outside the table", 5, 0, 0, 0},
+		{"port past the last", setRoute(1, 9, 0, 0)},
+		{"failover range past the last port", setRoute(1, 0, 1, 2)},
+		{"destination outside the table", setRoute(5, 0, 0, 0)},
+		{"radix past 16-bit port numbers", func(*testing.T) {
+			ibswitch.New(sim.New(), "test", simParams(), 1<<15, 1, rng.New(9))
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHarness(t, simParams(), 2)
 			defer func() {
 				if msg, _ := recover().(string); !strings.Contains(msg, "ibswitch test:") {
 					t.Fatalf("panic %q, want one naming the switch", msg)
 				}
 			}()
-			h.sw.SetRoute(tc.dest, tc.port, tc.first, tc.ngroup)
+			tc.do(t)
 		})
 	}
+}
+
+// TestPortSize pins Port at its VL0-only layout: the input buffer of VL0
+// is held inline and SetSL2VL grows it for wider tables. An [ib.NumVLs]
+// array of input queues in its place made the port 568 B.
+func TestPortSize(t *testing.T) {
+	if got := unsafe.Sizeof(ibswitch.Port{}); got != 272 {
+		t.Fatalf("Port is %d B, want 272", got)
+	}
+}
+
+// TestSetSL2VLProvisionsVLs: a switch and what is attached to it serve
+// VL0 alone until SetSL2VL installs a table that reaches a higher VL.
+// Then every ingress accounting and egress gate — those installed before
+// the table and those installed after it — holds the table's VLs at the
+// switch's windows and no other, and a packet on the table's highest VL
+// crosses the switch. A table past the modeled VLs is refused.
+func TestSetSL2VLProvisionsVLs(t *testing.T) {
+	par := model.HWTestbed().Switch // VL1's window differs from VL0's
+	lp := model.LinkParams{Bandwidth: 56 * units.Gbps, Propagation: 3 * units.Nanosecond}
+	h := newHarness(t, par, 3)
+	early := link.NewBufferGate(h.eng, par.CreditReturnDelay, par.WindowFor)
+	h.sw.AttachPeer(1, lp, h.out[1], early)
+	if w := early.Window(1); w != 0 {
+		t.Fatalf("vl 1 has a %d B window under the default table, want none", w)
+	}
+	table, err := ib.SliceSL2VL([]ib.SL{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.sw.SetSL2VL(table)
+	late := link.NewBufferGate(h.eng, par.CreditReturnDelay, par.WindowFor)
+	h.sw.AttachPeer(2, lp, h.out[2], late)
+	lateIn := ingressGate(h.eng, h.sw, 0, par)
+	for name, g := range map[string]*link.BufferGate{
+		"ingress before": h.in[1], "egress before": early,
+		"egress after": late, "ingress after": lateIn,
+	} {
+		for vl := ib.VL(0); int(vl) < ib.NumVLs; vl++ {
+			want := units.ByteSize(0)
+			if vl < 3 {
+				want = par.WindowFor(vl)
+			}
+			if got := g.Window(vl); got != want || g.Available(vl) != want {
+				t.Errorf("%s: vl %d window %d, available %d, want %d", name, vl, got, g.Available(vl), want)
+			}
+		}
+	}
+	pkt := dataTo(2, 4096, 2) // SL2 -> VL2
+	if !lateIn.TryReserve(2, pkt.WireSize()) {
+		t.Fatal("no vl 2 credit on the ingress installed after the table")
+	}
+	h.sw.Ingress(0).DeliverArrival(pkt, 0, 0)
+	h.eng.Run()
+	if len(h.out[2].pkts) != 1 || pkt.VL != 2 {
+		t.Fatalf("forwarded %d packets on vl %d, want the one on vl 2", len(h.out[2].pkts), pkt.VL)
+	}
+	if got, want := late.Available(2), par.WindowFor(2)-pkt.WireSize(); got != want {
+		t.Errorf("egress gate has %d B of vl 2 credit after the packet, want %d", got, want)
+	}
+
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "ibswitch test: SL-to-VL table maps to VL 9") {
+			t.Fatalf("panic %q, want one naming the switch and the VL", msg)
+		}
+	}()
+	var tooWide ib.SL2VL
+	tooWide[3] = ib.MaxVL + 1
+	h.sw.SetSL2VL(tooWide)
 }
 
 // TestFailoverWalksGroupRange: while a route's primary port is down, a

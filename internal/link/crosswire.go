@@ -45,6 +45,9 @@ var (
 	_ Gate              = (*CrossSendGate)(nil)
 	_ IngressAccounting = (*BufferGate)(nil)
 	_ IngressAccounting = (*CrossRecvGate)(nil)
+	_ Provisioner       = (*BufferGate)(nil)
+	_ Provisioner       = (*CrossSendGate)(nil)
+	_ Provisioner       = (*CrossRecvGate)(nil)
 )
 
 // NewCrossWire builds a cross-shard wire toward peer: a Wire whose
@@ -70,10 +73,11 @@ type CrossSendGate struct {
 	name string
 }
 
-// NewCrossSendGate builds the sender half with VL windows from windowFor.
+// NewCrossSendGate builds the sender half provisioned for VL0, whose window
+// windowFor gives; ProvisionVLs adds the VLs above it.
 func NewCrossSendGate(windowFor func(ib.VL) units.ByteSize) *CrossSendGate {
 	g := &CrossSendGate{}
-	g.setWindows(windowFor)
+	g.initVL0(windowFor(0))
 	return g
 }
 
@@ -107,15 +111,30 @@ type CrossRecvGate struct {
 	ch          *sim.Chan   // back-channel toward the sending shard
 	send        *CrossSendGate
 	returnDelay units.Duration // wire propagation + FC update latency
-	resident    [ib.NumVLs]units.ByteSize
-	name        string // diagnostic (invariant reports); see SetName
+	// resident holds the provisioned VLs' occupancy: resident0's storage
+	// until ProvisionVLs grows it.
+	resident  []units.ByteSize
+	resident0 [1]units.ByteSize
+	name      string // diagnostic (invariant reports); see SetName
 }
 
-// NewCrossRecvGate builds the receiver half. ch must be a channel from the
-// receiver's shard back to the sender's; returnDelay (≥ the channel's
-// latency floor) covers the return propagation plus the FC-update cost.
+// NewCrossRecvGate builds the receiver half, provisioned for VL0. ch must
+// be a channel from the receiver's shard back to the sender's; returnDelay
+// (≥ the channel's latency floor) covers the return propagation plus the
+// FC-update cost.
 func NewCrossRecvGate(eng *sim.Engine, ch *sim.Chan, send *CrossSendGate, returnDelay units.Duration) *CrossRecvGate {
-	return &CrossRecvGate{eng: eng, ch: ch, send: send, returnDelay: returnDelay}
+	g := &CrossRecvGate{eng: eng, ch: ch, send: send, returnDelay: returnDelay}
+	g.resident = g.resident0[:]
+	return g
+}
+
+// ProvisionVLs implements Provisioner. The windows live in the sender
+// half, which its own switch port provisions.
+func (g *CrossRecvGate) ProvisionVLs(n int, _ func(ib.VL) units.ByteSize) {
+	if n <= len(g.resident) {
+		return
+	}
+	g.resident = append(g.resident, make([]units.ByteSize, n-len(g.resident))...)
 }
 
 // OnArrive implements IngressAccounting.
@@ -137,5 +156,11 @@ func (g *CrossRecvGate) OnDepart(vl ib.VL, bytes units.ByteSize) {
 	m.A, m.B = int64(vl), int64(bytes)
 }
 
-// Occupancy reports the bytes currently resident in the VL's buffer.
-func (g *CrossRecvGate) Occupancy(vl ib.VL) units.ByteSize { return g.resident[vl] }
+// Occupancy reports the bytes currently resident in the VL's buffer: none
+// on a VL that is not provisioned.
+func (g *CrossRecvGate) Occupancy(vl ib.VL) units.ByteSize {
+	if int(vl) >= len(g.resident) {
+		return 0
+	}
+	return g.resident[vl]
+}

@@ -66,6 +66,16 @@ type Gate interface {
 	OnRelease(fn func())
 }
 
+// Provisioner is implemented by what keeps per-VL state — a BufferGate and
+// either half of a cross-shard split gate. Each holds VL0 from the start;
+// ProvisionVLs grows it to VLs 0..n-1, the VLs an installed SL-to-VL table
+// reaches, taking each new VL's window from windowFor (the receiver half
+// keeps no window and ignores it). It never shrinks, and it must run before
+// traffic starts: a packet on a VL that was never provisioned panics.
+type Provisioner interface {
+	ProvisionVLs(n int, windowFor func(ib.VL) units.ByteSize)
+}
+
 // Unlimited is the gate of a receiver that never back-pressures. RNIC
 // receive paths use it: the ConnectX-4 RX pipeline is not the bottleneck in
 // any of the paper's experiments (see model.NICParams.RxPipeline).
@@ -228,15 +238,34 @@ type sendVL struct {
 // when returned bytes land it adds them to avail, checks its own
 // conservation invariant and calls grant.
 type sendWindow struct {
-	send      [ib.NumVLs]sendVL
+	// send holds the provisioned VLs, 0..len-1: it is send0's storage
+	// until ProvisionVLs grows it for a table that reaches a higher VL.
+	send      []sendVL
+	send0     [1]sendVL
 	onRelease []func()
 }
 
-func (w *sendWindow) setWindows(windowFor func(ib.VL) units.ByteSize) {
-	for i := range w.send {
-		n := windowFor(ib.VL(i))
-		w.send[i] = sendVL{window: n, avail: n, minAvail: n}
+// newSendVL is a VL's credit state with its whole window available.
+func newSendVL(window units.ByteSize) sendVL {
+	return sendVL{window: window, avail: window, minAvail: window}
+}
+
+// initVL0 provisions VL0 with the given window.
+func (w *sendWindow) initVL0(window units.ByteSize) {
+	w.send0[0] = newSendVL(window)
+	w.send = w.send0[:]
+}
+
+// ProvisionVLs implements Provisioner.
+func (w *sendWindow) ProvisionVLs(n int, windowFor func(ib.VL) units.ByteSize) {
+	if n <= len(w.send) {
+		return
 	}
+	send := make([]sendVL, n)
+	for vl := copy(send, w.send); vl < n; vl++ {
+		send[vl] = newSendVL(windowFor(ib.VL(vl)))
+	}
+	w.send = send
 }
 
 // take moves bytes from the available credit into the granted count,
@@ -287,11 +316,23 @@ func (w *sendWindow) ReserveForWaiter(vl ib.VL, bytes units.ByteSize, wt Waiter)
 // OnRelease implements Gate: hooks fire whenever a credit return lands.
 func (w *sendWindow) OnRelease(fn func()) { w.onRelease = append(w.onRelease, fn) }
 
-// Available reports the sender-visible credits for a VL.
-func (w *sendWindow) Available(vl ib.VL) units.ByteSize { return w.send[vl].avail }
+// Available reports the sender-visible credits for a VL: none on a VL
+// that is not provisioned.
+func (w *sendWindow) Available(vl ib.VL) units.ByteSize {
+	if int(vl) >= len(w.send) {
+		return 0
+	}
+	return w.send[vl].avail
+}
 
-// Window reports the VL's configured window.
-func (w *sendWindow) Window(vl ib.VL) units.ByteSize { return w.send[vl].window }
+// Window reports the VL's configured window: zero on a VL that is not
+// provisioned.
+func (w *sendWindow) Window(vl ib.VL) units.ByteSize {
+	if int(vl) >= len(w.send) {
+		return 0
+	}
+	return w.send[vl].window
+}
 
 // grant runs after returned credit for vl has landed: it serves the queued
 // reservations FIFO while credit suffices, then fires the release hooks.
@@ -354,7 +395,10 @@ type BufferGate struct {
 	eng         *sim.Engine
 	returnDelay units.Duration
 	name        string // diagnostic: the ingress it guards (see SetName)
-	vls         [ib.NumVLs]vlState
+	// vls is the receiver's state of the provisioned VLs, as long as the
+	// sendWindow's send: vls0's storage until ProvisionVLs grows both.
+	vls  []vlState
+	vls0 [1]vlState
 	// Frozen disables occupancy targeting (honest naive credits) for the
 	// ablation benchmarks; the default true matches the testbed.
 	frozen bool
@@ -403,13 +447,24 @@ func (e *rateEstimator) update(now units.Time, bytes units.ByteSize) bool {
 	return true
 }
 
-// NewBufferGate builds a gate whose VL windows are given by windowFor.
-// returnDelay models the latency for released credits to reach the
-// upstream transmitter (FC update propagation).
+// NewBufferGate builds a gate provisioned for VL0, whose window windowFor
+// gives; ProvisionVLs adds the VLs above it. returnDelay models the latency
+// for released credits to reach the upstream transmitter (FC update
+// propagation).
 func NewBufferGate(eng *sim.Engine, returnDelay units.Duration, windowFor func(ib.VL) units.ByteSize) *BufferGate {
 	g := &BufferGate{eng: eng, returnDelay: returnDelay, frozen: true}
-	g.setWindows(windowFor)
+	g.initVL0(windowFor(0))
+	g.vls = g.vls0[:]
 	return g
+}
+
+// ProvisionVLs implements Provisioner: it grows both halves of the gate.
+func (g *BufferGate) ProvisionVLs(n int, windowFor func(ib.VL) units.ByteSize) {
+	if n <= len(g.vls) {
+		return
+	}
+	g.sendWindow.ProvisionVLs(n, windowFor)
+	g.vls = append(g.vls, make([]vlState, n-len(g.vls))...)
 }
 
 // SetFrozen toggles frozen-occupancy pacing (true by default). With false
@@ -421,8 +476,14 @@ func (g *BufferGate) SetFrozen(on bool) { g.frozen = on }
 // it guards). Purely diagnostic.
 func (g *BufferGate) SetName(name string) { g.name = name }
 
-// Occupancy reports the bytes currently resident in the VL's buffer.
-func (g *BufferGate) Occupancy(vl ib.VL) units.ByteSize { return g.vls[vl].resident }
+// Occupancy reports the bytes currently resident in the VL's buffer: none
+// on a VL that is not provisioned.
+func (g *BufferGate) Occupancy(vl ib.VL) units.ByteSize {
+	if int(vl) >= len(g.vls) {
+		return 0
+	}
+	return g.vls[vl].resident
+}
 
 // OnArrive records that bytes of a packet have fully arrived into the
 // buffer. Called by the receiving port.

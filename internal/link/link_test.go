@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ib"
 	"repro/internal/sim"
@@ -85,6 +86,25 @@ func TestUnlimitedGate(t *testing.T) {
 	}
 }
 
+// TestGateSizes pins the gates at their VL0-only layouts: each holds VL0's
+// state inline and ProvisionVLs grows it for wider tables. With
+// [ib.NumVLs] arrays in their place BufferGate was 1,720 B, CrossSendGate
+// 552 and CrossRecvGate 120.
+func TestGateSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"BufferGate", unsafe.Sizeof(BufferGate{}), 296},
+		{"CrossSendGate", unsafe.Sizeof(CrossSendGate{}), 128},
+		{"CrossRecvGate", unsafe.Sizeof(CrossRecvGate{}), 80},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s is %d B, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
 func newGate(eng *sim.Engine, window units.ByteSize) *BufferGate {
 	return NewBufferGate(eng, 10*units.Nanosecond, func(ib.VL) units.ByteSize { return window })
 }
@@ -99,8 +119,9 @@ type creditGate struct {
 	land func(vl ib.VL, bytes units.ByteSize)
 }
 
-// creditGates builds each gate that keeps credit, with window bytes on
-// every VL: a BufferGate and the sender half of a cross-shard split gate.
+// creditGates builds each gate that keeps credit, provisioned for VLs 0
+// and 1 with window bytes on each: a BufferGate and the sender half of a
+// cross-shard split gate.
 var creditGates = []struct {
 	name  string
 	build func(t *testing.T, window units.ByteSize) creditGate
@@ -108,6 +129,7 @@ var creditGates = []struct {
 	{"BufferGate", func(t *testing.T, window units.ByteSize) creditGate {
 		eng := sim.New()
 		g := newGate(eng, window)
+		g.ProvisionVLs(2, func(ib.VL) units.ByteSize { return window })
 		return creditGate{g, &g.sendWindow, func(vl ib.VL, bytes units.ByteSize) {
 			g.OnArrive(vl, bytes)
 			g.OnDepart(vl, bytes)
@@ -116,6 +138,9 @@ var creditGates = []struct {
 	}},
 	{"CrossSendGate", func(t *testing.T, window units.ByteSize) creditGate {
 		f := newXFix(t, 2, 5*units.Nanosecond, 20*units.Nanosecond, window)
+		for _, half := range []Provisioner{f.sgate, f.rgate} {
+			half.ProvisionVLs(2, func(ib.VL) units.ByteSize { return window })
+		}
 		return creditGate{f.sgate, &f.sgate.sendWindow, func(vl ib.VL, bytes units.ByteSize) {
 			f.rgate.OnArrive(vl, bytes)
 			f.rgate.OnDepart(vl, bytes)
@@ -309,14 +334,23 @@ func TestGateTryReserveRespectsWaiters(t *testing.T) {
 	}
 }
 
+// TestGatePerVLIsolation: a gate serves VL0 alone until VL 1 is
+// provisioned — the accessors answer for the unprovisioned VL with no
+// window, no credit and nothing resident — and then each VL has its own
+// window and credit.
 func TestGatePerVLIsolation(t *testing.T) {
 	eng := sim.New()
-	g := NewBufferGate(eng, 0, func(vl ib.VL) units.ByteSize {
+	windowFor := func(vl ib.VL) units.ByteSize {
 		if vl == 1 {
 			return 2000
 		}
 		return 1000
-	})
+	}
+	g := NewBufferGate(eng, 0, windowFor)
+	if g.Window(1) != 0 || g.Available(1) != 0 || g.Occupancy(1) != 0 {
+		t.Fatalf("unprovisioned vl 1: window %d, available %d, resident %d, want all 0", g.Window(1), g.Available(1), g.Occupancy(1))
+	}
+	g.ProvisionVLs(2, windowFor)
 	if g.Window(0) != 1000 || g.Window(1) != 2000 {
 		t.Fatal("per-VL windows wrong")
 	}

@@ -14,10 +14,13 @@ import (
 // WRITEs have completed, every registered wire whose gate keeps credit has
 // its whole window back on every VL, every receiving accounting holds no
 // bytes, and every NIC has no packet left in its data or responder send
-// engines and no operation pending. It covers
+// engines and no operation pending. Every such gate holds exactly the VLs
+// the installed SL-to-VL table reaches, at the switch's windows. It covers
 // local links (BufferGate), core links on one and two shards (the split
-// gate), and lossy links whose drops return credit through the fault
-// path, local and cross-shard.
+// gate), lossy links whose drops return credit through the fault
+// path, local and cross-shard, and a table that reaches VL 3 with the
+// writes spread over SLs 0-3, whose ports and gates on both sides of the
+// shard cut grow from VL0 when the table is installed.
 func TestCreditConservationAtQuiescence(t *testing.T) {
 	par := model.HWTestbed()
 	threeTier := func(shards int) func() (*Cluster, error) {
@@ -27,12 +30,17 @@ func TestCreditConservationAtQuiescence(t *testing.T) {
 		name  string
 		build func() (*Cluster, error)
 		lossy bool // auditLossyLinks drop 5% of packets, reliability on
+		// vls > 1 installs a table mapping SL i to VL i for i < vls and
+		// spreads the writes over those SLs; otherwise every write rides
+		// SL0 under the default table.
+		vls int
 	}{
-		{"star", func() (*Cluster, error) { return Star(par, 7, 1), nil }, false},
-		{"twotier 3+4", func() (*Cluster, error) { return TwoTier(par, 3, 4, 1), nil }, false},
-		{"threetier shards 1", threeTier(1), false},
-		{"threetier shards 2", threeTier(2), false},
-		{"threetier shards 2 lossy", threeTier(2), true},
+		{"star", func() (*Cluster, error) { return Star(par, 7, 1), nil }, false, 1},
+		{"twotier 3+4", func() (*Cluster, error) { return TwoTier(par, 3, 4, 1), nil }, false, 1},
+		{"threetier shards 1", threeTier(1), false, 1},
+		{"threetier shards 2", threeTier(2), false, 1},
+		{"threetier shards 2 lossy", threeTier(2), true, 1},
+		{"threetier shards 2 vls 0-3", threeTier(2), false, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := tc.build()
@@ -42,10 +50,38 @@ func TestCreditConservationAtQuiescence(t *testing.T) {
 			if tc.lossy {
 				makeLossy(t, c)
 			}
-			runAllPairsWrites(t, c)
+			// forwarded[i][vl] counts switch i's packets on vl; each
+			// switch's hook runs on its own shard.
+			forwarded := make([][ib.NumVLs]int, len(c.Switches))
+			if tc.vls > 1 {
+				sls := make([]ib.SL, tc.vls)
+				for i := range sls {
+					sls[i] = ib.SL(i)
+				}
+				table, err := ib.SliceSL2VL(sls)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.SetSL2VL(table)
+				for i, sw := range c.Switches {
+					sw.OnForward = func(pkt *ib.Packet, _, _ units.Time) { forwarded[i][pkt.VL]++ }
+				}
+			}
+			runAllPairsWrites(t, c, tc.vls)
 			if tc.lossy {
 				if _, drops := c.FaultTotals(); drops == 0 {
 					t.Fatal("no packet was dropped: the fault path went unexercised")
+				}
+			}
+			if tc.vls > 1 {
+				for vl := 0; vl < tc.vls; vl++ {
+					n := 0
+					for i := range forwarded {
+						n += forwarded[i][vl]
+					}
+					if n == 0 {
+						t.Errorf("no packet was forwarded on vl %d", vl)
+					}
 				}
 			}
 			for i, nic := range c.NICs {
@@ -64,8 +100,17 @@ func TestCreditConservationAtQuiescence(t *testing.T) {
 			for _, name := range c.linkNames {
 				fl := c.links[name]
 				for vl := ib.VL(0); int(vl) < ib.NumVLs; vl++ {
-					if g, ok := fl.wire.Gate().(window); ok && g.Available(vl) != g.Window(vl) {
-						t.Errorf("%s vl %d: %d of %d B of credit available at quiescence", name, vl, g.Available(vl), g.Window(vl))
+					if g, ok := fl.wire.Gate().(window); ok {
+						want := units.ByteSize(0) // on a VL the table does not reach
+						if int(vl) < tc.vls {
+							want = par.Switch.WindowFor(vl)
+						}
+						if g.Window(vl) != want {
+							t.Errorf("%s vl %d: %d B window, want %d", name, vl, g.Window(vl), want)
+						}
+						if g.Available(vl) != g.Window(vl) {
+							t.Errorf("%s vl %d: %d of %d B of credit available at quiescence", name, vl, g.Available(vl), g.Window(vl))
+						}
 					}
 					if a, ok := fl.acct.(occupancy); ok && a.Occupancy(vl) != 0 {
 						t.Errorf("%s vl %d: %d B still resident at quiescence", name, vl, a.Occupancy(vl))
@@ -102,8 +147,9 @@ func makeLossy(t *testing.T, c *Cluster) {
 }
 
 // runAllPairsWrites posts four 4 KiB RC WRITEs from every NIC to every
-// other, runs the fabric for 20 ms and requires every message completed.
-func runAllPairsWrites(t *testing.T, c *Cluster) {
+// other, on SL (src+dst) mod sls, runs the fabric for 20 ms and requires
+// every message completed.
+func runAllPairsWrites(t *testing.T, c *Cluster, sls int) {
 	t.Helper()
 	n := len(c.NICs)
 	// done[src] counts src's completions, which run on src's shard.
@@ -113,7 +159,7 @@ func runAllPairsWrites(t *testing.T, c *Cluster) {
 			if src == dst {
 				continue
 			}
-			qp := c.NIC(src).CreateQP(ib.RC, ib.NodeID(dst), 0)
+			qp := c.NIC(src).CreateQP(ib.RC, ib.NodeID(dst), ib.SL((src+dst)%sls))
 			for k := 0; k < 4; k++ {
 				c.NIC(src).PostSend(qp, ib.VerbWrite, 4*units.KB, func(units.Time) { done[src]++ })
 			}
@@ -157,7 +203,7 @@ func TestFaultAckTimersFireOnlyToAct(t *testing.T) {
 			}
 		}
 	}
-	runAllPairsWrites(t, c)
+	runAllPairsWrites(t, c, 1)
 	var timers uint64
 	for _, n := range fired {
 		timers += *n

@@ -74,7 +74,9 @@ func (c *Cluster) RNG(label string) *rng.Source { return c.root.Split(label) }
 func (c *Cluster) NIC(i int) *rnic.RNIC { return c.NICs[i] }
 
 // SetSL2VL installs the mapping fabric-wide (every switch and RNIC), the
-// way a subnet manager would.
+// way a subnet manager would. A table that reaches a higher VL grows every
+// switch port and credit gate to its VLs (see ibswitch.Switch.SetSL2VL), so
+// install it before traffic starts.
 func (c *Cluster) SetSL2VL(t ib.SL2VL) {
 	for _, sw := range c.Switches {
 		sw.SetSL2VL(t)
